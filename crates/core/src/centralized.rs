@@ -1,12 +1,9 @@
 //! Centralized (single-counter) split-phase barrier.
 
+use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -16,8 +13,9 @@ use std::sync::atomic::Ordering;
 /// This is the epoch-based variant of the sense-reversing centralized
 /// barrier. The last participant to arrive resets the counter and bumps the
 /// episode; waiters spin until the episode advances past the one captured
-/// in their [`ArrivalToken`]. A 64-bit epoch has no reuse hazard, which is
-/// the only job the sense flag performs in the boolean formulation.
+/// in their [`crate::ArrivalToken`]. A 64-bit epoch has no reuse hazard,
+/// which is the only job the sense flag performs in the boolean
+/// formulation.
 ///
 /// The shared counter is the **hot-spot** the paper warns about (Sec. 1):
 /// every participant performs a read-modify-write on the same cache line
@@ -38,22 +36,12 @@ use std::sync::atomic::Ordering;
 /// ```
 #[derive(Debug)]
 pub struct CentralBarrier<S: SyncOps = RealSync> {
-    n: usize,
-    policy: StallPolicy,
-    /// Participants still in the barrier (decreased by [`Self::leave`]).
-    expected: CachePadded<S::AtomicUsize>,
-    /// Remaining arrivals in the current episode (counts down from
-    /// `expected`).
+    core: EpisodeCore<S>,
+    /// Remaining arrivals in the current episode (counts down from the
+    /// core's live count).
     count: CachePadded<S::AtomicUsize>,
     /// Number of completed episodes; the release word waiters spin on.
     episode: CachePadded<S::AtomicU64>,
-    /// Per-participant count of arrivals performed, used to stamp tokens.
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
 impl CentralBarrier {
@@ -88,35 +76,24 @@ impl<S: SyncOps> CentralBarrier<S> {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn with_policy_in(n: usize, policy: StallPolicy) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
         CentralBarrier {
-            n,
-            policy,
-            expected: CachePadded::new(S::AtomicUsize::new(n)),
+            core: EpisodeCore::new(n, policy),
             count: CachePadded::new(S::AtomicUsize::new(n)),
             episode: CachePadded::new(S::AtomicU64::new(0)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
         }
     }
 
     /// The stall policy waits use.
     #[must_use]
     pub fn policy(&self) -> StallPolicy {
-        self.policy
+        self.core.policy()
     }
 
     /// Participants still in the barrier (the construction count minus
-    /// departures via [`Self::leave`]).
+    /// departures via [`Self::leave`] and evictions).
     #[must_use]
     pub fn remaining_participants(&self) -> usize {
-        self.expected.load(Ordering::Acquire)
+        self.core.remaining()
     }
 
     /// Permanently removes participant `id` from the barrier — the
@@ -128,187 +105,65 @@ impl<S: SyncOps> CentralBarrier<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range or if called when only one
-    /// participant remains (a barrier needs at least one).
+    /// Panics if `id` is out of range, already left or was evicted, or if
+    /// called when only one participant remains (a barrier needs at least
+    /// one).
     pub fn leave(&self, id: usize) {
-        self.check_id(id);
-        // Shrink the expectation BEFORE the arrival decrement: the episode
-        // resetter reads `expected` after winning the count, and the RMW
-        // chain on `count` orders this store before that read.
-        let prev = self.expected.fetch_sub(1, Ordering::AcqRel);
-        assert!(
-            prev > 1,
-            "the last remaining participant cannot leave the barrier"
-        );
-        self.stats.record_arrival(id);
-        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let expected = self.expected.load(Ordering::Acquire);
-            self.count.store(expected, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
-        }
-    }
-
-    fn check_id(&self, id: usize) {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-    }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        // Adaptive policies become a concrete budget sized by this
-        // barrier's wait-cost history; everything else passes through.
-        let policy = self.stats.resolve_policy(policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.episode.load(Ordering::Acquire) > token.episode,
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
+        match self.core.depart(id) {
+            Ok(()) => {}
+            Err(BarrierError::EmptyGroup) => {
+                panic!("the last remaining participant cannot leave the barrier")
             }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
+            Err(e) => panic!("CentralBarrier::leave({id}): {e}"),
         }
+        self.core.stats().record_arrival(id);
+        self.count_down();
     }
-}
 
-impl<S: SyncOps> SplitBarrier for CentralBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        self.check_id(id);
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+    /// One arrival (real, departing, or stand-in) against the count-down
+    /// word. The departure paths shrink the core's live count BEFORE this
+    /// decrement: the episode resetter reads it after winning the count,
+    /// and the RMW chain on `count` orders the shrink before that read.
+    #[inline]
+    fn count_down(&self) {
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last arriver: re-arm the counter for the next episode, then
             // publish completion. The order matters — participants released
             // by the episode bump may immediately arrive again and must see
-            // a full counter. The expectation is re-read because
-            // participants may have left (see [`Self::leave`]).
-            let expected = self.expected.load(Ordering::Acquire);
-            self.count.store(expected, Ordering::Release);
+            // a full counter.
+            self.count.store(self.core.remaining(), Ordering::Release);
             self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
-        }
-        ArrivalToken::new(id, episode)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.episode.load(Ordering::Acquire) > token.episode
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("CentralBarrier::wait failed: {e} (use wait_deadline to recover)"),
+            self.core.stats().record_episode();
         }
     }
+}
 
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
+impl<S: SyncOps> ArrivalProtocol for CentralBarrier<S> {
+    type Domain = S;
+
+    fn core(&self) -> &EpisodeCore<S> {
+        &self.core
     }
 
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
+    #[inline]
+    fn arrive_at(&self, _id: usize, _episode: u64) {
+        self.count_down();
     }
 
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
+    #[inline]
+    fn released(&self, _id: usize, episode: u64) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
 
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // A dead id stays dead regardless of how many live remain, so the
-        // already-evicted check comes first; the RMW below re-checks it
-        // when claiming. (Concurrent evictions that race past the
-        // EmptyGroup check toward an empty barrier are a caller contract
-        // violation, as for `leave`.)
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.expected.load(Ordering::Acquire) <= 1 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.stats.record_eviction();
-        // Same discipline as `leave`: shrink the expectation BEFORE the
-        // stand-in arrival decrement, so the episode resetter (ordered
-        // after us by the RMW chain on `count`) re-arms with the shrunk
-        // value. The evicted participant must not have arrived for the
-        // in-flight episode — this decrement is its stand-in arrival.
-        self.expected.fetch_sub(1, Ordering::AcqRel);
-        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let expected = self.expected.load(Ordering::Acquire);
-            self.count.store(expected, Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.stats.record_episode();
-        }
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
+    fn stand_in(&self, _id: usize) {
+        self.count_down();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     #[test]
@@ -447,143 +302,29 @@ mod tests {
     }
 
     #[test]
-    fn stalled_participant_times_out_then_eviction_recovers() {
-        // The headline fault story at N=4: participant 3 permanently stalls
-        // before arriving. Peers no longer deadlock — they observe a
-        // Timeout within their deadline, the straggler is evicted, and the
-        // survivors complete the next episode.
-        let n = 4;
-        let b = Arc::new(CentralBarrier::new(n));
-        std::thread::scope(|s| {
-            let mut waiters = Vec::new();
-            for id in 0..3 {
-                let b = Arc::clone(&b);
-                waiters.push(s.spawn(move || {
-                    let t = b.arrive(id);
-                    let err = b
-                        .wait_deadline(t, Deadline::after(std::time::Duration::from_millis(30)))
-                        .unwrap_err();
-                    assert_eq!(err, BarrierError::Timeout { episode: 0 });
-                }));
-            }
-            for w in waiters {
-                w.join().unwrap();
-            }
-        });
-        // Evict the straggler: its stand-in arrival completes episode 0.
-        b.evict(3).unwrap();
-        assert_eq!(b.remaining_participants(), 3);
-        // Survivors re-synchronize on the next episode.
-        std::thread::scope(|s| {
-            for id in 0..3 {
-                let b = Arc::clone(&b);
-                s.spawn(move || {
-                    let t = b.arrive(id);
-                    let o = b.wait(t);
-                    assert_eq!(o.episode, 1);
-                });
-            }
-        });
-        let stats = b.stats();
-        assert_eq!(stats.timeouts, 3);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.episodes, 2);
-    }
-
-    #[test]
-    fn poison_releases_unbounded_deadline_waiters() {
-        let b = Arc::new(CentralBarrier::new(2));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        assert_eq!(b.stats().poisonings, 1);
-        // Recovery: clear the poison, evict the participant that never
-        // arrived, and the survivor synchronizes alone from then on.
-        b.clear_poison();
-        assert!(!b.is_poisoned());
-        b.evict(1).unwrap();
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "use wait_deadline to recover")]
-    fn plain_wait_panics_on_poison() {
-        let b = CentralBarrier::new(2);
-        let t = b.arrive(0);
-        b.poison();
-        let _ = b.wait(t);
-    }
-
-    #[test]
-    fn abort_consumes_token_and_poisons() {
-        let b = CentralBarrier::new(2);
-        let t = b.arrive(0);
-        b.abort(t);
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
-    fn completion_wins_over_poison() {
-        let b = CentralBarrier::new(1);
-        let t = b.arrive(0); // n == 1: the episode completes immediately
-        b.poison();
-        let o = b
-            .wait_deadline(t, Deadline::never())
-            .expect("completed episode must win over poison");
-        assert_eq!(o.episode, 0);
-    }
-
-    #[test]
-    fn wait_with_poison_on_timeout_releases_peers() {
-        // Participant 2 never arrives. Participant 0 escalates its timeout
-        // to a poisoning, which releases participant 1's unbounded wait.
-        let b = Arc::new(CentralBarrier::new(3));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let policy = WaitPolicy::new()
-                    .deadline(std::time::Duration::from_millis(20))
-                    .on_timeout(OnTimeout::Poison);
-                let err = b0.wait_with(t, &policy).unwrap_err();
-                assert_eq!(err, BarrierError::Timeout { episode: 0 });
-            });
-            let b1 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b1.arrive(1);
-                let err = b1.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-        });
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
-    fn evict_guards_reject_bad_ids() {
-        let b = CentralBarrier::new(2);
+    fn evict_after_leave_is_rejected() {
+        // One departure record: a left participant is not evicted again,
+        // so the barrier keeps expecting both survivors.
+        let b = CentralBarrier::new(3);
+        b.leave(2);
         assert_eq!(
-            b.evict(5).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 5, capacity: 2 }
+            b.evict(2).unwrap_err(),
+            BarrierError::NotAParticipant { id: 2 }
         );
-        b.evict(1).unwrap();
-        assert_eq!(
-            b.evict(1).unwrap_err(),
-            BarrierError::NotAParticipant { id: 1 }
-        );
-        assert_eq!(b.evict(0).unwrap_err(), BarrierError::EmptyGroup);
-        // The survivor still synchronizes: its arrival joins the evictee's
-        // stand-in arrival to complete episode 0.
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 0);
+        assert_eq!(b.remaining_participants(), 2);
+        let t0 = b.arrive(0);
+        assert!(!b.is_complete(&t0), "episode 0 still waits for 1");
+        let t1 = b.arrive(1);
+        assert_eq!(b.wait(t0).episode, 0);
+        assert_eq!(b.wait(t1).episode, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the barrier mask")]
+    fn leave_after_evict_panics() {
+        let b = CentralBarrier::new(3);
+        b.evict(2).unwrap();
+        b.leave(2);
     }
 
     #[test]

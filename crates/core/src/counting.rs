@@ -1,12 +1,8 @@
 //! Flat counting split-phase barrier (the maximal hot-spot baseline).
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -29,8 +25,7 @@ use std::sync::atomic::Ordering;
 /// ```
 #[derive(Debug)]
 pub struct CountingBarrier<S: SyncOps = RealSync> {
-    n: usize,
-    policy: StallPolicy,
+    core: EpisodeCore<S>,
     /// Packed arrival word: the low [`DEAD_SHIFT`] bits count arrivals
     /// (real, stand-in, and ghost), the high bits count evicted
     /// participants. One word so an eviction's stand-in arrival and its
@@ -40,12 +35,6 @@ pub struct CountingBarrier<S: SyncOps = RealSync> {
     /// by its own stand-in, once by the completer's pre-pay). Found by the
     /// fuzzy-check evict scenario.
     arrivals: CachePadded<S::AtomicU64>,
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Non-zero once the barrier is poisoned.
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
 /// Bit position of the dead-participant count inside the packed arrival
@@ -96,24 +85,14 @@ impl<S: SyncOps> CountingBarrier<S> {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn with_policy_in(n: usize, policy: StallPolicy) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
         CountingBarrier {
-            n,
-            policy,
+            core: EpisodeCore::new(n, policy),
             arrivals: CachePadded::new(S::AtomicU64::new(0)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
         }
     }
 
     fn threshold(&self, episode: u64) -> u64 {
-        (episode + 1) * self.n as u64
+        (episode + 1) * self.core.participants() as u64
     }
 
     /// Adds `delta` to the packed arrival word and runs the
@@ -129,7 +108,7 @@ impl<S: SyncOps> CountingBarrier<S> {
     /// it). A pre-payment can itself cross the next boundary when the
     /// survivors raced a whole episode ahead of it, hence the loop.
     fn add_and_settle(&self, mut delta: u64) {
-        let n = self.n as u64;
+        let n = self.core.participants() as u64;
         loop {
             let before = self.arrivals.fetch_add(delta, Ordering::AcqRel);
             let after = before + delta;
@@ -139,7 +118,7 @@ impl<S: SyncOps> CountingBarrier<S> {
             if count(after) / n == count(before) / n {
                 return;
             }
-            self.stats.record_episode();
+            self.core.stats().record_episode();
             let ghosts = dead(after);
             if ghosts == 0 {
                 return;
@@ -147,146 +126,41 @@ impl<S: SyncOps> CountingBarrier<S> {
             delta = ghosts;
         }
     }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let threshold = self.threshold(token.episode);
-        let policy = self.stats.resolve_policy(policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || count(self.arrivals.load(Ordering::Acquire)) >= threshold,
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
-        }
-    }
 }
 
-impl<S: SyncOps> SplitBarrier for CountingBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+impl<S: SyncOps> ArrivalProtocol for CountingBarrier<S> {
+    type Domain = S;
+
+    fn core(&self) -> &EpisodeCore<S> {
+        &self.core
+    }
+
+    #[inline]
+    fn arrive_at(&self, _id: usize, _episode: u64) {
         self.add_and_settle(1);
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        count(self.arrivals.load(Ordering::Acquire)) >= self.threshold(token.episode)
+    #[inline]
+    fn released(&self, _id: usize, episode: u64) -> bool {
+        count(self.arrivals.load(Ordering::Acquire)) >= self.threshold(episode)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("CountingBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // Already-dead ids are rejected before the EmptyGroup guard: a
-        // dead id stays dead regardless of how many live remain.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if dead(self.arrivals.load(Ordering::Acquire)) + 1 >= self.n as u64 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.stats.record_eviction();
+    fn stand_in(&self, _id: usize) {
         // Pay-forward ghost scheme, in one RMW: the low bit is the
-        // stand-in arrival covering the in-flight episode (the evicted
-        // participant must not have arrived for it), the high bit
+        // stand-in arrival covering the in-flight episode, the high bit
         // registers the permanent ghost. All later episodes are covered
         // by the completer chain: each boundary crosser pre-pays one
         // ghost arrival per participant dead *as of its crossing* for the
         // episode after it — including this one, atomically, because both
         // fields travel in the same word.
         self.add_and_settle((1u64 << DEAD_SHIFT) | 1);
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BarrierError, Deadline, SplitBarrier};
     use std::sync::Arc;
 
     #[test]
@@ -373,49 +247,6 @@ mod tests {
             }
         }
         assert_eq!(b.stats().timeouts, 3);
-    }
-
-    #[test]
-    fn double_evict_and_last_survivor_rejected() {
-        let b = CountingBarrier::new(2);
-        b.evict(0).unwrap();
-        assert_eq!(
-            b.evict(0).unwrap_err(),
-            BarrierError::NotAParticipant { id: 0 }
-        );
-        assert_eq!(b.evict(1).unwrap_err(), BarrierError::EmptyGroup);
-    }
-
-    #[test]
-    fn poison_unblocks_counting_waiters() {
-        let b = Arc::new(CountingBarrier::new(2));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        b.clear_poison();
-        assert!(!b.is_poisoned());
-    }
-
-    #[test]
-    fn wait_with_backoff_override_and_poison_on_timeout() {
-        let b = CountingBarrier::new(2);
-        let t = b.arrive(0);
-        let policy = WaitPolicy::new()
-            .deadline(std::time::Duration::from_millis(5))
-            .backoff(StallPolicy::yielding())
-            .on_timeout(OnTimeout::Poison);
-        let err = b.wait_with(t, &policy).unwrap_err();
-        assert_eq!(err, BarrierError::Timeout { episode: 0 });
-        assert!(b.is_poisoned(), "OnTimeout::Poison must poison the barrier");
-        assert_eq!(b.stats().timeouts, 1);
     }
 
     #[test]

@@ -1,12 +1,8 @@
 //! Dissemination split-phase barrier — O(log n) rounds, no hot spot.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -19,11 +15,12 @@ use std::sync::atomic::Ordering;
 /// "best possible software implementation" with logarithmic cost that the
 /// paper cites (\[4\] in Sec. 1).
 ///
-/// The split is cooperative: [`SplitBarrier::arrive`] performs the round-0
-/// signal and returns; later rounds progress inside
-/// [`SplitBarrier::is_complete`] / [`SplitBarrier::wait`] probes. Signals
-/// carry monotone episode numbers, so late observers of an overwritten slot
-/// still see a value at least as large as the one they wait for.
+/// The split is cooperative: [`crate::SplitBarrier::arrive`] performs the
+/// round-0 signal and returns; later rounds progress inside
+/// [`crate::SplitBarrier::is_complete`] / [`crate::SplitBarrier::wait`]
+/// probes. Signals carry monotone episode numbers, so late observers of an
+/// overwritten slot still see a value at least as large as the one they
+/// wait for.
 ///
 /// # Examples
 ///
@@ -36,9 +33,9 @@ use std::sync::atomic::Ordering;
 /// ```
 #[derive(Debug)]
 pub struct DisseminationBarrier<S: SyncOps = RealSync> {
+    core: EpisodeCore<S>,
     n: usize,
     rounds: u32,
-    policy: StallPolicy,
     /// `flags[r * n + i]`: highest episode for which the round-`r` signal
     /// aimed at participant `i` has been sent. Single writer per slot.
     ///
@@ -52,51 +49,18 @@ pub struct DisseminationBarrier<S: SyncOps = RealSync> {
     /// needless dependent load per round. A flat slice makes the indexing
     /// arithmetic (`r * n + i`) and drops one indirection per flag access.
     flags: Box<[CachePadded<S::AtomicU64>]>,
-    /// Per-participant progress through the current episode's rounds.
-    progress: Vec<CachePadded<Progress<S>>>,
+    /// `round[id]`: the round participant `id` has reached in its current
+    /// episode. Accessed only through `id`'s own calls — `arrive(id)` and
+    /// the probes its token drives — so `Relaxed` suffices: same-thread
+    /// accesses are ordered by coherence, and handing a token to another
+    /// thread takes a hand-off (channel, join, mutex) that itself
+    /// establishes happens-before. Cross-participant synchronization never
+    /// flows through `round`: the `flags` slots' `Release` stores
+    /// ([`Self::signal`]) pair with the `Acquire` loads in `try_progress`,
+    /// transitively across all ⌈log₂ n⌉ rounds.
+    round: Vec<CachePadded<S::AtomicU32>>,
     /// Highest episode any participant has fully completed (for stats).
     completed: CachePadded<S::AtomicU64>,
-    /// Number of evicted participants (guards against emptying the barrier).
-    dead: CachePadded<S::AtomicUsize>,
-    /// Non-zero once the barrier is poisoned.
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted). Read by the
-    /// ghost-signal closure in [`Self::flag_ready`].
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
-}
-
-/// Memory-ordering note (audited): `episode` and `round` are accessed
-/// **only through participant `id`'s own calls** — `arrive(id)` and the
-/// `try_progress(token.id, ..)` probes driven by that arrival's token.
-/// `Relaxed` is therefore sufficient for both:
-///
-/// * If the token stays on the arriving thread (the normal protocol), all
-///   accesses to `progress[id]` are same-thread, and per-location coherence
-///   alone guarantees each load sees the preceding store.
-/// * If the token is handed to another thread, the hand-off mechanism
-///   (channel, join, mutex — anything that makes the transfer sound) itself
-///   establishes happens-before between the two threads' accesses, so the
-///   receiver still observes the owner's last `Relaxed` store.
-///
-/// Cross-participant synchronization never flows through `progress`: it is
-/// carried exclusively by the `flags` slots, whose `Release` stores
-/// ([`DisseminationBarrier::signal`]) pair with the `Acquire` loads in
-/// `try_progress` to order each signaller's pre-barrier writes before the
-/// observer's post-barrier reads, transitively across all ⌈log₂ n⌉ rounds.
-#[derive(Debug)]
-struct Progress<S: SyncOps> {
-    episode: S::AtomicU64,
-    round: S::AtomicU32,
-}
-
-impl<S: SyncOps> Progress<S> {
-    fn new() -> Self {
-        Progress {
-            episode: S::AtomicU64::new(0),
-            round: S::AtomicU32::new(0),
-        }
-    }
 }
 
 impl DisseminationBarrier {
@@ -137,18 +101,14 @@ impl<S: SyncOps> DisseminationBarrier<S> {
             .map(|_| CachePadded::new(S::AtomicU64::new(0)))
             .collect();
         DisseminationBarrier {
+            core: EpisodeCore::new(n, policy),
             n,
             rounds,
-            policy,
             flags,
-            progress: (0..n).map(|_| CachePadded::new(Progress::new())).collect(),
-            completed: CachePadded::new(S::AtomicU64::new(0)),
-            dead: CachePadded::new(S::AtomicUsize::new(0)),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
+            round: (0..n)
                 .map(|_| CachePadded::new(S::AtomicU32::new(0)))
                 .collect(),
-            stats: BarrierStats::with_participants(n),
+            completed: CachePadded::new(S::AtomicU64::new(0)),
         }
     }
 
@@ -198,7 +158,7 @@ impl<S: SyncOps> DisseminationBarrier<S> {
     /// Would the evicted `sender` have sent its round-`round` signal for
     /// `goal`? False for live senders.
     fn ghost_sent(&self, sender: usize, round: u32, goal: u64) -> bool {
-        if self.evicted[sender].load(Ordering::Acquire) == 0 {
+        if !self.core.is_departed(sender) {
             return false;
         }
         (0..round).all(|r| self.flag_ready(sender, r, goal))
@@ -210,7 +170,7 @@ impl<S: SyncOps> DisseminationBarrier<S> {
     fn try_progress(&self, id: usize, episode: u64) -> bool {
         let goal = episode + 1;
         loop {
-            let round = self.progress[id].round.load(Ordering::Relaxed);
+            let round = self.round[id].load(Ordering::Relaxed);
             if round >= self.rounds {
                 return true;
             }
@@ -219,13 +179,11 @@ impl<S: SyncOps> DisseminationBarrier<S> {
                 if next < self.rounds {
                     self.signal(id, next, goal);
                 }
-                self.progress[id].round.store(next, Ordering::Relaxed);
+                self.round[id].store(next, Ordering::Relaxed);
                 if next == self.rounds {
                     // This participant has completed the episode; record it
                     // once globally.
-                    if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode();
-                    }
+                    self.record_completion(goal);
                     return true;
                 }
             } else {
@@ -234,151 +192,48 @@ impl<S: SyncOps> DisseminationBarrier<S> {
         }
     }
 
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.try_progress(token.id, token.episode),
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
+    /// Records episode `goal - 1` once globally, by whichever participant
+    /// first completes its rounds.
+    fn record_completion(&self, goal: u64) {
+        if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
+            self.core.stats().record_episode();
         }
     }
 }
 
-impl<S: SyncOps> SplitBarrier for DisseminationBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-        let episode = self.progress[id].episode.fetch_add(1, Ordering::Relaxed);
-        self.progress[id].round.store(0, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+impl<S: SyncOps> ArrivalProtocol for DisseminationBarrier<S> {
+    type Domain = S;
+
+    fn core(&self) -> &EpisodeCore<S> {
+        &self.core
+    }
+
+    fn arrive_at(&self, id: usize, episode: u64) {
+        self.round[id].store(0, Ordering::Relaxed);
         if self.rounds == 0 {
             // Single participant: the episode is complete on arrival.
-            if self.completed.fetch_max(episode + 1, Ordering::AcqRel) < episode + 1 {
-                self.stats.record_episode();
-            }
+            self.record_completion(episode + 1);
         } else {
             self.signal(id, 0, episode + 1);
         }
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.try_progress(token.id, token.episode)
+    fn released(&self, id: usize, episode: u64) -> bool {
+        self.try_progress(id, episode)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                panic!("DisseminationBarrier::wait failed: {e} (use wait_deadline to recover)")
-            }
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // Already-dead ids are rejected before the EmptyGroup guard: a
-        // dead id stays dead regardless of how many live remain.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.dead.load(Ordering::Acquire) + 1 >= self.n {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.dead.fetch_add(1, Ordering::AcqRel);
-        self.stats.record_eviction();
-        // Nothing else to do: the single write above (an RMW, so blocked
-        // checker waiters re-probe) flips every survivor's ghost-closure
-        // predicate — see [`Self::flag_ready`]. The evicted participant's
-        // pending arrival for the in-flight episode is waived vacuously,
-        // and no flag slot gains a second writer.
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
+    fn stand_in(&self, _id: usize) {
+        // Nothing to do: the core's departure RMW flips every survivor's
+        // ghost-closure predicate — see [`Self::flag_ready`]. The evicted
+        // participant's pending arrival for the in-flight episode is waived
+        // vacuously, and no flag slot gains a second writer.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     #[test]
@@ -462,42 +317,6 @@ mod tests {
                 assert_eq!(b.stats().evictions, 1, "n={n} victim={victim}");
             }
         }
-    }
-
-    #[test]
-    fn evict_guards() {
-        let b = DisseminationBarrier::new(3);
-        assert_eq!(
-            b.evict(7).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 7, capacity: 3 }
-        );
-        b.evict(0).unwrap();
-        assert_eq!(
-            b.evict(0).unwrap_err(),
-            BarrierError::NotAParticipant { id: 0 }
-        );
-        b.evict(1).unwrap();
-        assert_eq!(b.evict(2).unwrap_err(), BarrierError::EmptyGroup);
-        // The lone survivor still synchronizes: both peers are ghosts.
-        let t = b.arrive(2);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_unblocks_dissemination_waiters() {
-        let b = Arc::new(DisseminationBarrier::new(2));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        assert_eq!(b.stats().poisonings, 1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The split-phase barrier trait and the [`FuzzyBarrier`] front door.
+//! The split-phase barrier trait and the [`FuzzyBarrier`] default.
 
 use crate::centralized::CentralBarrier;
 use crate::error::BarrierError;
 use crate::failure::{Deadline, OnTimeout, WaitPolicy};
-use crate::spin::StallPolicy;
 use crate::stats::{StatsSnapshot, TelemetrySnapshot};
 use crate::token::{ArrivalToken, WaitOutcome};
 
@@ -40,7 +39,7 @@ pub trait SplitBarrier: Send + Sync {
     /// state bit.
     fn is_complete(&self, token: &ArrivalToken) -> bool;
 
-    /// Blocks (per the backend's [`StallPolicy`]) until the episode named by
+    /// Blocks (per the backend's [`crate::StallPolicy`]) until the episode named by
     /// `token` completes.
     ///
     /// If the barrier is poisoned before the episode completes,
@@ -60,8 +59,9 @@ pub trait SplitBarrier: Send + Sync {
     /// episode completes, or [`Self::poison`] the barrier to release peers.
     ///
     /// The default implementation ignores the deadline and cannot observe
-    /// poison (it delegates to plain [`Self::wait`]); the four stock
-    /// backends override it.
+    /// poison (it delegates to plain [`Self::wait`]). The five stock
+    /// backends get a real bounded wait from their shared
+    /// [`crate::episode::EpisodeCore`]; other implementations override it.
     fn wait_deadline(
         &self,
         token: ArrivalToken,
@@ -241,8 +241,10 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
     }
 }
 
-/// The default fuzzy barrier: a [`SplitBarrier`] backend (centralized
-/// sense-reversing by default) behind a thin, well-documented front door.
+/// The default fuzzy barrier: the centralized sense-reversing backend.
+///
+/// [`FuzzyBarrier::new`] and [`FuzzyBarrier::with_policy`] are
+/// [`CentralBarrier`]'s constructors; any other backend is used directly.
 ///
 /// # Examples
 ///
@@ -263,119 +265,7 @@ impl<B: SplitBarrier + ?Sized> SplitBarrier for std::sync::Arc<B> {
 ///     }
 /// });
 /// ```
-#[derive(Debug)]
-pub struct FuzzyBarrier<B: SplitBarrier = CentralBarrier> {
-    inner: B,
-}
-
-impl FuzzyBarrier<CentralBarrier> {
-    /// Creates a fuzzy barrier for `n` participants with the default
-    /// (centralized sense-reversing) backend and default stall policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        FuzzyBarrier {
-            inner: CentralBarrier::new(n),
-        }
-    }
-
-    /// Creates a fuzzy barrier with an explicit stall policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn with_policy(n: usize, policy: StallPolicy) -> Self {
-        FuzzyBarrier {
-            inner: CentralBarrier::with_policy(n, policy),
-        }
-    }
-}
-
-impl<B: SplitBarrier> FuzzyBarrier<B> {
-    /// Wraps an arbitrary backend.
-    #[must_use]
-    pub fn from_backend(backend: B) -> Self {
-        FuzzyBarrier { inner: backend }
-    }
-
-    /// Borrows the underlying backend.
-    #[must_use]
-    pub fn backend(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwraps the underlying backend.
-    #[must_use]
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: SplitBarrier> SplitBarrier for FuzzyBarrier<B> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        self.inner.arrive(id)
-    }
-
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.inner.is_complete(token)
-    }
-
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        self.inner.wait(token)
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_deadline(token, deadline)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.inner.wait_with(token, policy)
-    }
-
-    fn poison(&self) {
-        self.inner.poison();
-    }
-
-    fn clear_poison(&self) {
-        self.inner.clear_poison();
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
-
-    fn abort(&self, token: ArrivalToken) {
-        self.inner.abort(token);
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        self.inner.evict(id)
-    }
-
-    fn participants(&self) -> usize {
-        self.inner.participants()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.inner.telemetry()
-    }
-}
+pub type FuzzyBarrier = CentralBarrier;
 
 #[cfg(test)]
 mod tests {

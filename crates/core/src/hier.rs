@@ -17,13 +17,9 @@
 //! one hot line. The fuzzy split is fully preserved — `arrive` never
 //! blocks, even for the leader, whose top-level sign-in is non-blocking.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -131,10 +127,9 @@ enum Top<S: SyncOps> {
 /// ```
 #[derive(Debug)]
 pub struct HierBarrier<S: SyncOps = RealSync> {
-    n: usize,
+    core: EpisodeCore<S>,
     shard_size: usize,
     top_level: TopLevel,
-    policy: StallPolicy,
     /// Top-level dissemination rounds, `ceil(log2(shards))` (0 for one
     /// shard); fixed at construction even as shards die.
     rounds: u32,
@@ -143,15 +138,6 @@ pub struct HierBarrier<S: SyncOps = RealSync> {
     /// Completed global episodes: the release word for the tree top, pure
     /// episode bookkeeping for the dissemination top.
     episode: CachePadded<S::AtomicU64>,
-    /// Live participants across all shards (guards `EmptyGroup`).
-    live: CachePadded<S::AtomicUsize>,
-    /// Per-participant count of arrivals performed, used to stamp tokens.
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
 impl HierBarrier {
@@ -213,7 +199,7 @@ impl<S: SyncOps> HierBarrier<S> {
         top_level: TopLevel,
         policy: StallPolicy,
     ) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
+        let core = EpisodeCore::new(n, policy);
         assert!(shard_size > 0, "a shard needs at least one member");
         let shard_size = shard_size.min(n);
         let m = n.div_ceil(shard_size);
@@ -255,23 +241,13 @@ impl<S: SyncOps> HierBarrier<S> {
             }
         };
         HierBarrier {
-            n,
+            core,
             shard_size,
             top_level,
-            policy,
             rounds,
             shards,
             top,
             episode: CachePadded::new(S::AtomicU64::new(0)),
-            live: CachePadded::new(S::AtomicUsize::new(n)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
         }
     }
 
@@ -307,7 +283,7 @@ impl<S: SyncOps> HierBarrier<S> {
     /// The stall policy waits use.
     #[must_use]
     pub fn policy(&self) -> StallPolicy {
-        self.policy
+        self.core.policy()
     }
 
     /// The (clamped) shard size.
@@ -332,19 +308,11 @@ impl<S: SyncOps> HierBarrier<S> {
     /// evictions).
     #[must_use]
     pub fn remaining_participants(&self) -> usize {
-        self.live.load(Ordering::Acquire)
+        self.core.remaining()
     }
 
     fn shard_of(&self, id: usize) -> usize {
         id / self.shard_size
-    }
-
-    fn check_id(&self, id: usize) {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
     }
 
     /// One arrival (real or eviction stand-in) against shard `k`'s
@@ -377,7 +345,7 @@ impl<S: SyncOps> HierBarrier<S> {
                 if self.rounds == 0 {
                     // One shard: its completion is the global episode.
                     if self.episode.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.stats.record_episode();
+                        self.core.stats().record_episode();
                     }
                 } else {
                     // Round-0 signal to the distance-1 neighbour; relay
@@ -402,7 +370,7 @@ impl<S: SyncOps> HierBarrier<S> {
                 Some(parent) => self.top_signal_node(nodes, parent),
                 None => {
                     self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode();
+                    self.core.stats().record_episode();
                 }
             }
         }
@@ -468,7 +436,7 @@ impl<S: SyncOps> HierBarrier<S> {
                 // every shard for `g`. Record the episode exactly once
                 // across shards.
                 if self.episode.fetch_max(g, Ordering::AcqRel) < g {
-                    self.stats.record_episode();
+                    self.core.stats().record_episode();
                 }
             }
         }
@@ -562,125 +530,30 @@ impl<S: SyncOps> HierBarrier<S> {
             }
         }
     }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
-        let k = self.shard_of(token.id);
-        let goal = token.episode + 1;
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.episode_done(k, goal),
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
-            }
-        }
-    }
 }
 
-impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        self.check_id(id);
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+impl<S: SyncOps> ArrivalProtocol for HierBarrier<S> {
+    type Domain = S;
+
+    fn core(&self) -> &EpisodeCore<S> {
+        &self.core
+    }
+
+    fn arrive_at(&self, id: usize, _episode: u64) {
         self.shard_arrival(self.shard_of(id));
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        // Like the dissemination backend's `is_complete`, this may drive
-        // the caller's shard through its pending leader rounds.
-        self.episode_done(self.shard_of(token.id), token.episode + 1)
+    fn released(&self, id: usize, episode: u64) -> bool {
+        // Like the dissemination backend, this may drive the caller's
+        // shard through its pending leader rounds.
+        self.episode_done(self.shard_of(id), episode + 1)
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("HierBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // A dead id stays dead regardless of how many live remain, so the
-        // already-evicted check comes first; the RMW below re-checks it
-        // when claiming.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.live.load(Ordering::Acquire) <= 1 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.live.fetch_sub(1, Ordering::AcqRel);
-        self.stats.record_eviction();
+    fn stand_in(&self, id: usize) {
         let k = self.shard_of(id);
         // Shrink the shard's expectation BEFORE the stand-in arrival so
         // the shard's re-armer picks up the shrunk value (same discipline
-        // as the flat backends). The evicted participant must not have
-        // arrived for the in-flight episode — the stand-in below is that
-        // arrival.
+        // as the flat backends).
         let prev = self.shards[k].expected.fetch_sub(1, Ordering::AcqRel);
         if prev == 1 {
             // Last live member: the shard dies. Its pending top-level
@@ -699,25 +572,13 @@ impl<S: SyncOps> SplitBarrier for HierBarrier<S> {
         } else {
             self.shard_arrival(k);
         }
-        Ok(())
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BarrierError, Deadline, SplitBarrier};
     use std::sync::Arc;
 
     /// Every (n, shard_size) shape used by the sweeps below, including
@@ -1002,108 +863,6 @@ mod tests {
             assert_eq!(b.wait(t2).episode, 0, "{top:?}");
             assert_eq!(b.stats().episodes, 1);
         }
-    }
-
-    #[test]
-    fn evict_guards_reject_bad_ids() {
-        let b = HierBarrier::new(2);
-        assert_eq!(
-            b.evict(5).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 5, capacity: 2 }
-        );
-        b.evict(1).unwrap();
-        assert_eq!(
-            b.evict(1).unwrap_err(),
-            BarrierError::NotAParticipant { id: 1 }
-        );
-        assert_eq!(b.evict(0).unwrap_err(), BarrierError::EmptyGroup);
-        // The survivor still synchronizes: its arrival joins the
-        // evictee's stand-in arrival to complete episode 0.
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_releases_unbounded_deadline_waiters() {
-        let b = Arc::new(HierBarrier::with_shards(
-            2,
-            1,
-            TopLevel::Tree,
-            StallPolicy::yielding(),
-        ));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        assert_eq!(b.stats().poisonings, 1);
-        b.clear_poison();
-        assert!(!b.is_poisoned());
-        b.evict(1).unwrap();
-        let t = b.arrive(0);
-        assert_eq!(b.wait(t).episode, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "use wait_deadline to recover")]
-    fn plain_wait_panics_on_poison() {
-        let b = HierBarrier::new(2);
-        let t = b.arrive(0);
-        b.poison();
-        let _ = b.wait(t);
-    }
-
-    #[test]
-    fn abort_consumes_token_and_poisons() {
-        let b = HierBarrier::new(2);
-        let t = b.arrive(0);
-        b.abort(t);
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
-    fn completion_wins_over_poison() {
-        let b = HierBarrier::new(1);
-        let t = b.arrive(0);
-        b.poison();
-        let o = b
-            .wait_deadline(t, Deadline::never())
-            .expect("completed episode must win over poison");
-        assert_eq!(o.episode, 0);
-    }
-
-    #[test]
-    fn wait_with_poison_on_timeout_releases_peers() {
-        let b = Arc::new(HierBarrier::with_shards(
-            3,
-            2,
-            TopLevel::Dissemination,
-            StallPolicy::yielding(),
-        ));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let policy = WaitPolicy::new()
-                    .deadline(std::time::Duration::from_millis(20))
-                    .on_timeout(OnTimeout::Poison);
-                let err = b0.wait_with(t, &policy).unwrap_err();
-                assert_eq!(err, BarrierError::Timeout { episode: 0 });
-            });
-            let b1 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b1.arrive(2);
-                let err = b1.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-        });
-        assert!(b.is_poisoned());
     }
 
     #[test]

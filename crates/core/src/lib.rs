@@ -56,9 +56,13 @@
 //!   (dissemination or tree), per-shard release broadcast, and an
 //!   adaptive stall policy by default.
 //!
-//! All backends expose the same split-phase protocol and record
-//! [`stats::BarrierStats`] so experiments can observe how often waits
-//! actually stalled.
+//! The backends differ only in how they combine arrivals. Each implements
+//! [`ArrivalProtocol`] over one shared [`EpisodeCore`] — token stamping,
+//! poisoning, eviction bookkeeping, the bounded wait and
+//! [`stats::BarrierStats`] telemetry — and a blanket impl makes it a
+//! [`SplitBarrier`]. [`FuzzyBarrier`] is an alias for [`CentralBarrier`];
+//! [`SplitBarrier::point`] is the classic single-point barrier (a fuzzy
+//! barrier with an empty region) the paper compares against.
 //!
 //! ## Masks, tags and groups (multiple barriers, Sec. 5)
 //!
@@ -75,17 +79,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod async_wait;
-pub mod blocking;
 pub mod centralized;
 pub mod counting;
 pub mod dissemination;
+pub mod episode;
 pub mod error;
 pub mod failure;
 pub mod fuzzy;
 pub mod group;
 pub mod hier;
 pub mod mask;
-pub mod phased;
 pub mod reconfig;
 pub mod registry;
 pub mod spin;
@@ -96,10 +99,10 @@ pub mod token;
 pub mod tree;
 
 pub use async_wait::{AsyncBarrier, BarrierFuture};
-pub use blocking::PointBarrier;
 pub use centralized::CentralBarrier;
 pub use counting::CountingBarrier;
 pub use dissemination::DisseminationBarrier;
+pub use episode::{ArrivalProtocol, EpisodeCore};
 pub use error::BarrierError;
 pub use failure::{Deadline, OnTimeout, WaitPolicy};
 pub use fuzzy::{FuzzyBarrier, SplitBarrier};
@@ -134,7 +137,6 @@ mod send_sync_tests {
         assert_send_sync::<DisseminationBarrier>();
         assert_send_sync::<TreeBarrier>();
         assert_send_sync::<HierBarrier>();
-        assert_send_sync::<PointBarrier>();
         assert_send_sync::<SubsetBarrier>();
         assert_send_sync::<FuzzyBarrier>();
         assert_send_sync::<AsyncBarrier<CentralBarrier>>();

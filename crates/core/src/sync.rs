@@ -1,7 +1,7 @@
 //! The synchronization-primitive abstraction the barrier backends are
 //! written against.
 //!
-//! Every spin point and every shared atomic word in the four core backends
+//! Every spin point and every shared atomic word in the five core backends
 //! goes through [`SyncOps`]. In production code the only implementation that
 //! exists is [`RealSync`], whose associated types are the `std::sync::atomic`
 //! types themselves and whose [`SyncOps::wait_until`] is

@@ -1,12 +1,8 @@
 //! Combining-tree split-phase barrier with configurable fan-in.
 
-use crate::error::BarrierError;
-use crate::failure::{self, Deadline, OnTimeout, WaitPolicy};
+use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::spin::StallPolicy;
-use crate::stats::{BarrierStats, StatsSnapshot, TelemetrySnapshot};
 use crate::sync::{Atomic, RealSync, SyncOps};
-use crate::token::{ArrivalToken, WaitOutcome};
-use crate::SplitBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -31,21 +27,13 @@ use std::sync::atomic::Ordering;
 /// ```
 #[derive(Debug)]
 pub struct TreeBarrier<S: SyncOps = RealSync> {
-    n: usize,
+    core: EpisodeCore<S>,
     fan_in: usize,
-    policy: StallPolicy,
     nodes: Vec<CachePadded<Node<S>>>,
     /// Leaf node index for each participant.
     leaf_of: Vec<usize>,
+    /// Number of completed episodes; the release word waiters spin on.
     episode: CachePadded<S::AtomicU64>,
-    local_episode: Vec<CachePadded<S::AtomicU64>>,
-    /// Live (non-evicted) participants; guards against emptying the tree.
-    live: CachePadded<S::AtomicUsize>,
-    /// Non-zero once the barrier is poisoned.
-    poisoned: CachePadded<S::AtomicU32>,
-    /// Per-participant eviction flags (non-zero once evicted).
-    evicted: Vec<CachePadded<S::AtomicU32>>,
-    stats: BarrierStats,
 }
 
 #[derive(Debug)]
@@ -89,7 +77,7 @@ impl<S: SyncOps> TreeBarrier<S> {
     /// Panics if `n == 0` or `fan_in < 2`.
     #[must_use]
     pub fn with_fan_in_in(n: usize, fan_in: usize, policy: StallPolicy) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
+        let core = EpisodeCore::new(n, policy);
         assert!(fan_in >= 2, "fan-in must be at least 2");
 
         // Build levels bottom-up. Level 0 nodes absorb the participants;
@@ -134,21 +122,11 @@ impl<S: SyncOps> TreeBarrier<S> {
         }
 
         TreeBarrier {
-            n,
+            core,
             fan_in,
-            policy,
             nodes,
             leaf_of,
             episode: CachePadded::new(S::AtomicU64::new(0)),
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
-            live: CachePadded::new(S::AtomicUsize::new(n)),
-            poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            evicted: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
-            stats: BarrierStats::with_participants(n),
         }
     }
 
@@ -178,37 +156,8 @@ impl<S: SyncOps> TreeBarrier<S> {
                 Some(parent) => self.signal_node(parent),
                 None => {
                     self.episode.fetch_add(1, Ordering::Release);
-                    self.stats.record_episode();
+                    self.core.stats().record_episode();
                 }
-            }
-        }
-    }
-
-    /// The poison-aware bounded wait all wait flavors funnel through.
-    fn wait_core(
-        &self,
-        token: &ArrivalToken,
-        deadline: Deadline,
-        policy: StallPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let policy = self.stats.resolve_policy(policy);
-        let result = failure::guarded_wait::<S>(
-            policy,
-            deadline,
-            token.episode,
-            || self.episode.load(Ordering::Acquire) > token.episode,
-            || self.poisoned.load(Ordering::Acquire) != 0,
-        );
-        match result {
-            Ok(outcome) => {
-                self.stats.record_wait(token.id, &outcome);
-                Ok(outcome)
-            }
-            Err(fault) => {
-                if matches!(fault.error, BarrierError::Timeout { .. }) {
-                    self.stats.record_timeout(token.id, &fault.report);
-                }
-                Err(fault.error)
             }
         }
     }
@@ -219,87 +168,22 @@ fn members_of_group(total: usize, fan_in: usize, group: usize) -> usize {
     fan_in.min(total - start)
 }
 
-impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
-    fn arrive(&self, id: usize) -> ArrivalToken {
-        assert!(
-            id < self.n,
-            "participant id {id} out of range for {} participants",
-            self.n
-        );
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
+impl<S: SyncOps> ArrivalProtocol for TreeBarrier<S> {
+    type Domain = S;
+
+    fn core(&self) -> &EpisodeCore<S> {
+        &self.core
+    }
+
+    fn arrive_at(&self, id: usize, _episode: u64) {
         self.signal_node(self.leaf_of[id]);
-        ArrivalToken::new(id, episode)
     }
 
-    fn is_complete(&self, token: &ArrivalToken) -> bool {
-        self.episode.load(Ordering::Acquire) > token.episode
+    fn released(&self, _id: usize, episode: u64) -> bool {
+        self.episode.load(Ordering::Acquire) > episode
     }
 
-    fn wait(&self, token: ArrivalToken) -> WaitOutcome {
-        match self.wait_core(&token, Deadline::never(), self.policy) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("TreeBarrier::wait failed: {e} (use wait_deadline to recover)"),
-        }
-    }
-
-    fn wait_deadline(
-        &self,
-        token: ArrivalToken,
-        deadline: Deadline,
-    ) -> Result<WaitOutcome, BarrierError> {
-        self.wait_core(&token, deadline, self.policy)
-    }
-
-    fn wait_with(
-        &self,
-        token: ArrivalToken,
-        policy: &WaitPolicy,
-    ) -> Result<WaitOutcome, BarrierError> {
-        let backoff = policy.backoff.unwrap_or(self.policy);
-        let result = self.wait_core(&token, policy.arm(), backoff);
-        if matches!(result, Err(BarrierError::Timeout { .. }))
-            && policy.on_timeout == OnTimeout::Poison
-        {
-            self.poison();
-        }
-        result
-    }
-
-    fn poison(&self) {
-        if self.poisoned.fetch_max(1, Ordering::AcqRel) == 0 {
-            self.stats.record_poisoning();
-        }
-    }
-
-    fn clear_poison(&self) {
-        self.poisoned.store(0, Ordering::Release);
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) != 0
-    }
-
-    fn evict(&self, id: usize) -> Result<(), BarrierError> {
-        if id >= self.n {
-            return Err(BarrierError::InvalidParticipant {
-                id,
-                capacity: self.n,
-            });
-        }
-        // Already-dead ids are rejected before the EmptyGroup guard: a
-        // dead id stays dead regardless of how many live remain.
-        if self.evicted[id].load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        if self.live.load(Ordering::Acquire) <= 1 {
-            return Err(BarrierError::EmptyGroup);
-        }
-        if self.evicted[id].fetch_max(1, Ordering::AcqRel) != 0 {
-            return Err(BarrierError::NotAParticipant { id });
-        }
-        self.live.fetch_sub(1, Ordering::AcqRel);
-        self.stats.record_eviction();
+    fn stand_in(&self, id: usize) {
         // Walk the evicted participant's leaf-to-root path. At each node,
         // shrink the expectation first (the completer re-reads it when
         // re-arming); then:
@@ -316,7 +200,7 @@ impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
             let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
             if prev > 1 {
                 self.signal_node(index);
-                return Ok(());
+                return;
             }
             match node.parent {
                 Some(parent) => index = parent,
@@ -325,28 +209,17 @@ impl<S: SyncOps> SplitBarrier for TreeBarrier<S> {
                     // participant keeps the expectation chain on the shared
                     // path segment above 1, stopping the walk before the
                     // root retires.
-                    unreachable!("evicting the last live participant is rejected above")
+                    unreachable!("evicting the last live participant is rejected by the core")
                 }
             }
         }
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        self.stats.telemetry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitBarrier;
     use std::sync::Arc;
 
     #[test]
@@ -451,52 +324,6 @@ mod tests {
         assert!(b.is_complete(&t0), "stand-in arrival completes episode 0");
         assert_eq!(b.wait(t0).episode, 0);
         assert_eq!(b.wait(t1).episode, 0);
-    }
-
-    #[test]
-    fn tree_evict_guards() {
-        let b = TreeBarrier::new(2);
-        assert_eq!(
-            b.evict(9).unwrap_err(),
-            BarrierError::InvalidParticipant { id: 9, capacity: 2 }
-        );
-        b.evict(0).unwrap();
-        assert_eq!(
-            b.evict(0).unwrap_err(),
-            BarrierError::NotAParticipant { id: 0 }
-        );
-        assert_eq!(b.evict(1).unwrap_err(), BarrierError::EmptyGroup);
-        let t = b.arrive(1);
-        assert_eq!(b.wait(t).episode, 0);
-    }
-
-    #[test]
-    fn poison_unblocks_tree_waiters() {
-        // n = 3: participant 2 never arrives, so neither wait below can be
-        // satisfied by completion.
-        let b = Arc::new(TreeBarrier::new(3));
-        std::thread::scope(|s| {
-            let b0 = Arc::clone(&b);
-            s.spawn(move || {
-                let t = b0.arrive(0);
-                let err = b0.wait_deadline(t, Deadline::never()).unwrap_err();
-                assert_eq!(err, BarrierError::Poisoned { episode: 0 });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            b.poison();
-        });
-        assert!(b.is_poisoned());
-        // wait_with escalation path still reports the timeout distinctly.
-        b.clear_poison();
-        let t = b.arrive(1);
-        let policy = WaitPolicy::new()
-            .deadline(std::time::Duration::from_millis(5))
-            .on_timeout(OnTimeout::Poison);
-        assert!(matches!(
-            b.wait_with(t, &policy),
-            Err(BarrierError::Timeout { episode: 0 })
-        ));
-        assert!(b.is_poisoned());
     }
 
     #[test]

@@ -34,6 +34,10 @@
 #                quick exp_net_scale sweep, schema validated
 #   perf-gate    exp_backend_faceoff + exp_async_scale + exp_net_scale
 #                quick sweeps vs the checked-in baselines
+#   perfbench    the repository benchmark (its own workspace, so the
+#                build stage never compiles it): its tests, then each of
+#                the five workloads for one second, each required to
+#                report "correct":true
 #   doc          cargo doc --no-deps (rustdoc warnings are errors)
 #
 # Each stage prints `ci: stage <name> PASS|FAIL (N.Ns)`; the script stops
@@ -44,7 +48,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build clippy test tier1 check-smoke bench-smoke async-smoke fault-smoke fuzz-smoke chaos-smoke net-smoke perf-gate doc"
+STAGES="fmt build clippy test tier1 check-smoke bench-smoke async-smoke fault-smoke fuzz-smoke chaos-smoke net-smoke perf-gate perfbench doc"
 
 SELECTED=""
 for arg in "$@"; do
@@ -248,6 +252,27 @@ perf_gate() {
     sh scripts/perf_gate.sh
 }
 
+# Perfbench: builds the benchmark against the current core API, runs its
+# tests, then each workload untraced for one second. perfbench exits 0
+# even when a correctness check fails, so the stage reads the verdict
+# from the last line of each run.
+perfbench_stage() {
+    manifest=perfbench/Cargo.toml
+    cargo test -q --offline --manifest-path "$manifest" || return 1
+    for w in solo lockstep tasks churn mesh; do
+        out="$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 0)" || return 1
+        last="$(printf '%s\n' "$out" | tail -n 1)"
+        case "$last" in
+        *'"correct":true'*) echo "perfbench: $w correct" ;;
+        *)
+            echo "perfbench: $w failed its checks: $last" >&2
+            return 1
+            ;;
+        esac
+    done
+}
+
 want fmt && run_stage fmt cargo fmt --check
 want build && run_stage build cargo build --workspace --all-targets
 want clippy && run_stage clippy cargo clippy --workspace --all-targets -- -D warnings
@@ -261,6 +286,7 @@ want fuzz-smoke && run_stage fuzz-smoke fuzz_smoke
 want chaos-smoke && run_stage chaos-smoke chaos_smoke
 want net-smoke && run_stage net-smoke net_smoke
 want perf-gate && run_stage perf-gate perf_gate
+want perfbench && run_stage perfbench perfbench_stage
 want doc && run_stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 if [ -n "$SUMMARY" ]; then
