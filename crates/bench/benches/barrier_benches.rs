@@ -1,18 +1,21 @@
 //! Micro-benchmarks for the fuzzy-barrier suite.
 //!
-//! The host is single-core (see DESIGN.md), so these measure
-//! single-participant protocol costs, simulator throughput and compiler
-//! pipeline latency rather than contended multi-thread scaling — the
-//! contended comparisons live in the simulator experiments
+//! Most rows measure single-participant protocol costs, simulator
+//! throughput and compiler pipeline latency. The `episode_pair/*` rows
+//! time an episode between two threads, which needs two CPUs to measure
+//! the barrier rather than the scheduler. The oversubscribed comparisons
+//! live in `exp_backend_faceoff` and the simulator experiments
 //! (`exp_hotspot_scaling`, `exp_encore`).
 //!
 //! Formerly a criterion harness; the build environment is offline, so a
 //! small self-timing loop (`bench`) reports median-of-batches ns/iter.
 
 use fuzzy_barrier::{
-    CentralBarrier, CountingBarrier, DisseminationBarrier, ProcMask, SplitBarrier, TreeBarrier,
+    CentralBarrier, CountingBarrier, DisseminationBarrier, HierBarrier, ProcMask, SplitBarrier,
+    StallPolicy, TopLevel, TreeBarrier,
 };
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Times `f` over several batches and prints the median ns/iter.
@@ -44,19 +47,59 @@ fn bench<F: FnMut()>(name: &str, mut f: F) {
     println!("{name:<44} {median:>12.1} ns/iter   ({iters} iters/batch)");
 }
 
+/// The five backends for `n` participants, hier with both tops. Hier
+/// uses singleton shards, so with two or more participants every episode
+/// goes through its top level.
+fn backends(n: usize) -> Vec<(&'static str, Box<dyn SplitBarrier>)> {
+    let hier = |top| Box::new(HierBarrier::with_shards(n, 1, top, StallPolicy::default()));
+    vec![
+        ("central", Box::new(CentralBarrier::new(n))),
+        ("counting", Box::new(CountingBarrier::new(n))),
+        ("dissemination", Box::new(DisseminationBarrier::new(n))),
+        ("tree", Box::new(TreeBarrier::new(n))),
+        ("hier", hier(TopLevel::Dissemination)),
+        ("hier-tree", hier(TopLevel::Tree)),
+    ]
+}
+
 /// Cost of one arrive+wait episode per backend (single participant: the
 /// uncontended fast path every design should make cheap).
 fn bench_backends() {
-    let backends: Vec<(&str, Box<dyn SplitBarrier>)> = vec![
-        ("central", Box::new(CentralBarrier::new(1))),
-        ("counting", Box::new(CountingBarrier::new(1))),
-        ("dissemination", Box::new(DisseminationBarrier::new(1))),
-        ("tree", Box::new(TreeBarrier::new(1))),
-    ];
-    for (name, b) in &backends {
+    for (name, b) in &backends(1) {
         bench(&format!("episode_uncontended/{name}"), || {
             let t = b.arrive(0);
             black_box(b.wait(t));
+        });
+    }
+}
+
+/// Cost of one arrive+wait episode with two participants on two threads:
+/// a partner thread runs the same episodes as the timed loop.
+fn bench_pairs() {
+    for (name, b) in &backends(2) {
+        // The last episode the partner runs; unknown until timing ends.
+        let last = AtomicU64::new(u64::MAX);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut e = 0;
+                while e <= last.load(Ordering::Acquire) {
+                    let t = b.arrive(1);
+                    b.wait(t);
+                    e += 1;
+                }
+            });
+            let mut done = 0;
+            bench(&format!("episode_pair/{name}"), || {
+                let t = b.arrive(0);
+                black_box(b.wait(t));
+                done += 1;
+            });
+            // The partner may already be waiting on episode `done`; run it
+            // together. The store happens-before that episode completes,
+            // so the partner stops after it.
+            last.store(done, Ordering::Release);
+            let t = b.arrive(0);
+            b.wait(t);
         });
     }
 }
@@ -178,6 +221,7 @@ fn bench_schedulers() {
 
 fn main() {
     bench_backends();
+    bench_pairs();
     bench_region_overlap();
     bench_masks();
     bench_simulator();

@@ -77,6 +77,26 @@ fn hier_with_tree_top_exhausts() {
 }
 
 #[test]
+fn hier_with_tree_top_exhausts_poison_and_evict() {
+    // The fault scenarios on the tree top. n=3, shard size 2 → shards
+    // {0,1} and {2}; evicting id 2 kills shard {2}, so its leaf is
+    // retired from the top tree.
+    use fuzzy_barrier::{HierBarrier, SplitBarrier, StallPolicy, TopLevel};
+    use fuzzy_check::{evict_with, poison_with, ShadowSync};
+    use std::sync::Arc;
+    let factory = || {
+        Arc::new(HierBarrier::<ShadowSync>::with_shards_in(
+            3,
+            2,
+            TopLevel::Tree,
+            StallPolicy::Spin,
+        )) as Arc<dyn SplitBarrier>
+    };
+    must_exhaust(poison_with("poison/hier-tree/n3", 3, factory), 1);
+    must_exhaust(evict_with("evict/hier-tree/n3/e2", 3, 2, factory), 1);
+}
+
+#[test]
 fn subset_pair_exhausts() {
     // Every non-empty mask subset of two participants: {0}, {1}, {0,1},
     // with per-subset tags and a wrong-tag rejection probe.

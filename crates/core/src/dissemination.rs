@@ -11,16 +11,19 @@ use std::sync::atomic::Ordering;
 /// In round *r* participant *i* signals participant *(i + 2^r) mod n* and
 /// waits for the signal from *(i − 2^r) mod n*; after ⌈log₂ n⌉ rounds every
 /// participant transitively knows that everyone arrived. No word is written
-/// by more than one participant, so there is no hot spot — this is the
-/// "best possible software implementation" with logarithmic cost that the
-/// paper cites (\[4\] in Sec. 1).
+/// on behalf of more than one participant, so there is no hot spot — this
+/// is the "best possible software implementation" with logarithmic cost
+/// that the paper cites (\[4\] in Sec. 1).
 ///
 /// The split is cooperative: [`crate::SplitBarrier::arrive`] performs the
 /// round-0 signal and returns; later rounds progress inside
 /// [`crate::SplitBarrier::is_complete`] / [`crate::SplitBarrier::wait`]
 /// probes. Signals carry monotone episode numbers, so late observers of an
 /// overwritten slot still see a value at least as large as the one they
-/// wait for.
+/// wait for. All protocol state only grows (`fetch_max`), so any number of
+/// threads may drive the rounds of a participant that has arrived — the
+/// property [`crate::HierBarrier`] relies on when it runs this protocol
+/// over its shards.
 ///
 /// # Examples
 ///
@@ -37,7 +40,8 @@ pub struct DisseminationBarrier<S: SyncOps = RealSync> {
     n: usize,
     rounds: u32,
     /// `flags[r * n + i]`: highest episode for which the round-`r` signal
-    /// aimed at participant `i` has been sent. Single writer per slot.
+    /// aimed at participant `i` has been sent. Every driver of the sender
+    /// may write the slot, so writes are `fetch_max`: the value only grows.
     ///
     /// False-sharing audit: every slot is individually [`CachePadded`], so
     /// two participants' flags can never share a line regardless of layout.
@@ -49,16 +53,16 @@ pub struct DisseminationBarrier<S: SyncOps = RealSync> {
     /// needless dependent load per round. A flat slice makes the indexing
     /// arithmetic (`r * n + i`) and drops one indirection per flag access.
     flags: Box<[CachePadded<S::AtomicU64>]>,
-    /// `round[id]`: the round participant `id` has reached in its current
-    /// episode. Accessed only through `id`'s own calls — `arrive(id)` and
-    /// the probes its token drives — so `Relaxed` suffices: same-thread
-    /// accesses are ordered by coherence, and handing a token to another
-    /// thread takes a hand-off (channel, join, mutex) that itself
-    /// establishes happens-before. Cross-participant synchronization never
-    /// flows through `round`: the `flags` slots' `Release` stores
-    /// ([`Self::signal`]) pair with the `Acquire` loads in `try_progress`,
-    /// transitively across all ⌈log₂ n⌉ rounds.
-    round: Vec<CachePadded<S::AtomicU32>>,
+    /// `progress[id]`: rounds participant `id` has completed, summed over
+    /// all episodes — episode `e` is done for `id` once it reaches
+    /// `(e + 1) * rounds`. Advanced only by `fetch_max`, so concurrent
+    /// drivers of one id (its own waits, a helper probing its token, a
+    /// hierarchical barrier's help-along sweep) agree: a stale driver's
+    /// update is a no-op, and a probe that once saw completion sees it
+    /// forever. Cross-participant synchronization flows through `flags`:
+    /// their `fetch_max` writes pair with the `Acquire` loads in
+    /// [`Self::flag_ready`], transitively across all ⌈log₂ n⌉ rounds.
+    progress: Box<[CachePadded<S::AtomicU64>]>,
     /// Highest episode any participant has fully completed (for stats).
     completed: CachePadded<S::AtomicU64>,
 }
@@ -105,8 +109,8 @@ impl<S: SyncOps> DisseminationBarrier<S> {
             n,
             rounds,
             flags,
-            round: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
+            progress: (0..n)
+                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
                 .collect(),
             completed: CachePadded::new(S::AtomicU64::new(0)),
         }
@@ -129,9 +133,9 @@ impl<S: SyncOps> DisseminationBarrier<S> {
         (id + self.n - (1usize << round)) % self.n
     }
 
-    fn signal(&self, from: usize, round: u32, episode_plus_one: u64) {
+    fn signal(&self, from: usize, round: u32, goal: u64) {
         let target = self.partner(from, round);
-        self.flags[round as usize * self.n + target].store(episode_plus_one, Ordering::Release);
+        self.flags[round as usize * self.n + target].fetch_max(goal, Ordering::AcqRel);
     }
 
     /// True once the round-`round` signal aimed at `receiver` is available
@@ -164,30 +168,39 @@ impl<S: SyncOps> DisseminationBarrier<S> {
         (0..round).all(|r| self.flag_ready(sender, r, goal))
     }
 
-    /// Advances participant `id` through as many rounds of `episode` as the
-    /// received signals allow, without blocking. Returns true once all
-    /// rounds are complete.
+    /// Advances participant `id` through as many rounds as the received
+    /// signals allow, up to the end of `episode`, without blocking.
+    /// Returns true once all of `episode`'s rounds are complete. The
+    /// caller guarantees `id` has arrived for `episode`; a driver that
+    /// lags behind another only repeats `fetch_max` writes already made.
     fn try_progress(&self, id: usize, episode: u64) -> bool {
-        let goal = episode + 1;
+        let rounds = u64::from(self.rounds);
+        let base = episode * rounds;
+        let target = base + rounds;
         loop {
-            let round = self.round[id].load(Ordering::Relaxed);
-            if round >= self.rounds {
+            let done = self.progress[id].load(Ordering::Acquire);
+            if done >= target {
                 return true;
             }
-            if self.flag_ready(id, round, goal) {
-                let next = round + 1;
-                if next < self.rounds {
-                    self.signal(id, next, goal);
-                }
-                self.round[id].store(next, Ordering::Relaxed);
-                if next == self.rounds {
-                    // This participant has completed the episode; record it
-                    // once globally.
-                    self.record_completion(goal);
-                    return true;
-                }
+            // Usually `id` is already within `episode`, and a failed spin
+            // probe skips the 64-bit division; only a driver catching up on
+            // an earlier episode's rounds pays for it.
+            let (goal, round) = if done >= base {
+                (episode + 1, (done - base) as u32)
             } else {
+                (done / rounds + 1, (done % rounds) as u32)
+            };
+            if !self.flag_ready(id, round, goal) {
                 return false;
+            }
+            if round + 1 < self.rounds {
+                self.signal(id, round + 1, goal);
+            }
+            self.progress[id].fetch_max(done + 1, Ordering::AcqRel);
+            if done + 1 == goal * rounds {
+                // This participant has completed episode `goal - 1`;
+                // record it once globally.
+                self.record_completion(goal);
             }
         }
     }
@@ -209,7 +222,6 @@ impl<S: SyncOps> ArrivalProtocol for DisseminationBarrier<S> {
     }
 
     fn arrive_at(&self, id: usize, episode: u64) {
-        self.round[id].store(0, Ordering::Relaxed);
         if self.rounds == 0 {
             // Single participant: the episode is complete on arrival.
             self.record_completion(episode + 1);
@@ -317,6 +329,60 @@ mod tests {
                 assert_eq!(b.stats().evictions, 1, "n={n} victim={victim}");
             }
         }
+    }
+
+    #[test]
+    fn a_helper_may_drive_a_waiting_participant() {
+        // Two drivers of id 0: each episode a helper thread probes
+        // participant 0's token while 0 itself waits on it.
+        use crate::ArrivalToken;
+        use std::sync::atomic::AtomicU64;
+        let n = 3;
+        let phases = 500u64;
+        let b = DisseminationBarrier::with_policy(n, StallPolicy::yielding());
+        let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        // Episodes participant 0 has arrived for.
+        let arrived = AtomicU64::new(0);
+        let (b, cells, arrived) = (&b, &cells, &arrived);
+        std::thread::scope(|s| {
+            for id in 0..n {
+                s.spawn(move || {
+                    let episode = || {
+                        let t = b.arrive(id);
+                        if id == 0 {
+                            arrived.fetch_add(1, Ordering::Release);
+                        }
+                        b.wait(t);
+                    };
+                    for phase in 1..=phases {
+                        cells[id].store(phase, Ordering::Release);
+                        episode();
+                        let v = cells[(id + n - 1) % n].load(Ordering::Acquire);
+                        assert!(v >= phase, "stale read {v} in phase {phase}");
+                        episode();
+                    }
+                });
+            }
+            s.spawn(move || {
+                for e in 0..2 * phases {
+                    while arrived.load(Ordering::Acquire) <= e {
+                        std::thread::yield_now();
+                    }
+                    let t = ArrivalToken::new(0, e);
+                    while !b.is_complete(&t) {
+                        std::thread::yield_now();
+                    }
+                    // Participant 0 may have arrived for e + 1 by now; a
+                    // completed probe must stay completed regardless.
+                    assert!(b.is_complete(&t), "episode {e} regressed");
+                    if e > 0 {
+                        let prev = ArrivalToken::new(0, e - 1);
+                        assert!(b.is_complete(&prev), "episode {} regressed", e - 1);
+                    }
+                }
+            });
+        });
+        assert_eq!(b.stats().episodes, 2 * phases);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! localizes arrival traffic instead: participants are partitioned into
 //! contiguous *shards*, each shard owns its own cache-line-padded arrivals
 //! word, and only the last arriver of a shard — its *leader* for that
-//! episode — takes part in the global top-level protocol over the (much
-//! smaller) set of shards. Release is broadcast back per shard through a
-//! shard-local epoch word, so steady-state waiters poll a line that only
-//! their own shard writes.
+//! episode — takes part in the top level: a flat
+//! [`DisseminationBarrier`] or [`TreeBarrier`] with one participant per
+//! shard. Release is broadcast back per shard through a shard-local epoch
+//! word, so steady-state waiters poll a line that only their own shard
+//! writes.
 //!
 //! The shape follows the cluster-hierarchical barriers used on manycore
 //! RISC-V fabrics (see PAPERS.md): arrival cost is O(shard) contention on
@@ -17,9 +18,11 @@
 //! one hot line. The fuzzy split is fully preserved — `arrive` never
 //! blocks, even for the leader, whose top-level sign-in is non-blocking.
 
+use crate::dissemination::DisseminationBarrier;
 use crate::episode::{ArrivalProtocol, EpisodeCore};
 use crate::spin::StallPolicy;
 use crate::sync::{Atomic, RealSync, SyncOps};
+use crate::tree::TreeBarrier;
 use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
@@ -27,15 +30,14 @@ use std::sync::atomic::Ordering;
 /// arrived.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TopLevel {
-    /// Pairwise leader rounds at shard granularity (the
-    /// [`crate::DisseminationBarrier`] pattern): no shared word at all,
+    /// A [`DisseminationBarrier`] over the shards: no shared word at all,
     /// `ceil(log2(shards))` rounds, each shard discovers completion
     /// itself. The default.
     #[default]
     Dissemination,
-    /// A fan-in-2 combining tree over shards (the [`crate::TreeBarrier`]
-    /// pattern): the root publishes a single global episode word that all
-    /// shards' waiters poll until their shard epoch catches up.
+    /// A fan-in-2 [`TreeBarrier`] over the shards: the root publishes a
+    /// single global episode word that all shards' waiters poll until
+    /// their shard epoch catches up.
     Tree,
 }
 
@@ -55,47 +57,20 @@ struct Shard<S: SyncOps> {
     arrived: S::AtomicU64,
 }
 
-/// One node of the top-level combining tree (only built for
-/// [`TopLevel::Tree`]).
-#[derive(Debug)]
-struct TopNode<S: SyncOps> {
-    /// Remaining sign-ins at this node for the in-flight episode.
-    count: S::AtomicUsize,
-    /// Live contributors to this node (shrinks when shards die).
-    expected: S::AtomicUsize,
-    /// Parent node index; `None` for the root.
-    parent: Option<usize>,
-}
-
-impl<S: SyncOps> TopNode<S> {
-    fn new(expected: usize) -> Self {
-        TopNode {
-            count: S::AtomicUsize::new(expected),
-            expected: S::AtomicUsize::new(expected),
-            parent: None,
-        }
-    }
-}
-
-/// The combining-tree node array plus each shard's level-0 node index.
-type TreeTop<S> = (Box<[CachePadded<TopNode<S>>]>, Box<[usize]>);
-
-/// Top-level synchronization state, matching the configured [`TopLevel`].
+/// The top level: a flat barrier whose participant `k` is shard `k`.
 #[derive(Debug)]
 enum Top<S: SyncOps> {
-    /// Round-major flag matrix (`rounds * shards` slots, each padded) plus
-    /// a per-shard progress word counting completed leader rounds across
-    /// all episodes. Both empty when there is a single shard.
-    Dissemination {
-        flags: Box<[CachePadded<S::AtomicU64>]>,
-        progress: Box<[CachePadded<S::AtomicU64>]>,
-    },
-    /// Combining-tree nodes (level by level, root last) and each shard's
-    /// level-0 node index.
-    Tree {
-        nodes: Box<[CachePadded<TopNode<S>>]>,
-        leaf_of_shard: Box<[usize]>,
-    },
+    Dissemination(DisseminationBarrier<S>),
+    Tree(TreeBarrier<S>),
+}
+
+impl<S: SyncOps> Top<S> {
+    fn protocol(&self) -> &dyn ArrivalProtocol<Domain = S> {
+        match self {
+            Top::Dissemination(d) => d,
+            Top::Tree(t) => t,
+        }
+    }
 }
 
 /// A hierarchical split-phase barrier: sharded arrival words, a
@@ -106,9 +81,9 @@ enum Top<S: SyncOps> {
 /// contiguous, so co-scheduled neighbours share a shard and its arrival
 /// line). The last member to arrive in a shard re-arms the shard counter
 /// and *signs the shard in* at the top level without blocking; waiters
-/// poll their shard's epoch word, falling back to the top-level state
-/// until the first of them observes completion and broadcasts it into the
-/// epoch word for the rest.
+/// poll their shard's epoch word, falling back to the top level until the
+/// first of them observes completion and broadcasts it into the epoch
+/// word for the rest.
 ///
 /// [`HierBarrier::new`] pairs the hierarchy with
 /// [`StallPolicy::adaptive`]: sharding shortens the common wait, and the
@@ -129,14 +104,10 @@ enum Top<S: SyncOps> {
 pub struct HierBarrier<S: SyncOps = RealSync> {
     core: EpisodeCore<S>,
     shard_size: usize,
-    top_level: TopLevel,
-    /// Top-level dissemination rounds, `ceil(log2(shards))` (0 for one
-    /// shard); fixed at construction even as shards die.
-    rounds: u32,
     shards: Box<[CachePadded<Shard<S>>]>,
     top: Top<S>,
-    /// Completed global episodes: the release word for the tree top, pure
-    /// episode bookkeeping for the dissemination top.
+    /// Highest global episode goal a waiter has observed complete; feeds
+    /// this barrier's episode count.
     episode: CachePadded<S::AtomicU64>,
 }
 
@@ -203,12 +174,7 @@ impl<S: SyncOps> HierBarrier<S> {
         assert!(shard_size > 0, "a shard needs at least one member");
         let shard_size = shard_size.min(n);
         let m = n.div_ceil(shard_size);
-        let rounds = if m == 1 {
-            0
-        } else {
-            usize::BITS - (m - 1).leading_zeros()
-        };
-        let shards: Box<[CachePadded<Shard<S>>]> = (0..m)
+        let shards = (0..m)
             .map(|k| {
                 let members = shard_size.min(n - k * shard_size);
                 CachePadded::new(Shard {
@@ -220,64 +186,18 @@ impl<S: SyncOps> HierBarrier<S> {
             })
             .collect();
         let top = match top_level {
-            TopLevel::Dissemination => Top::Dissemination {
-                flags: (0..rounds as usize * m)
-                    .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                    .collect(),
-                progress: if rounds == 0 {
-                    Box::new([])
-                } else {
-                    (0..m)
-                        .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                        .collect()
-                },
-            },
-            TopLevel::Tree => {
-                let (nodes, leaf_of_shard) = Self::build_top_tree(m);
-                Top::Tree {
-                    nodes,
-                    leaf_of_shard,
-                }
+            TopLevel::Dissemination => {
+                Top::Dissemination(DisseminationBarrier::with_policy_in(m, policy))
             }
+            TopLevel::Tree => Top::Tree(TreeBarrier::with_fan_in_in(m, 2, policy)),
         };
         HierBarrier {
             core,
             shard_size,
-            top_level,
-            rounds,
             shards,
             top,
             episode: CachePadded::new(S::AtomicU64::new(0)),
         }
-    }
-
-    /// Builds the fan-in-2 combining tree over `m` shards, level by level
-    /// (root last), returning the nodes and each shard's leaf node index.
-    fn build_top_tree(m: usize) -> TreeTop<S> {
-        const FAN_IN: usize = 2;
-        let leaf_of_shard: Box<[usize]> = (0..m).map(|k| k / FAN_IN).collect();
-        let mut nodes: Vec<TopNode<S>> = Vec::new();
-        let mut level_start = 0;
-        let mut level_count = m.div_ceil(FAN_IN);
-        for j in 0..level_count {
-            nodes.push(TopNode::new(FAN_IN.min(m - j * FAN_IN)));
-        }
-        while level_count > 1 {
-            let next_start = level_start + level_count;
-            let next_count = level_count.div_ceil(FAN_IN);
-            for j in 0..next_count {
-                nodes.push(TopNode::new(FAN_IN.min(level_count - j * FAN_IN)));
-            }
-            for i in 0..level_count {
-                nodes[level_start + i].parent = Some(next_start + i / FAN_IN);
-            }
-            level_start = next_start;
-            level_count = next_count;
-        }
-        (
-            nodes.into_iter().map(CachePadded::new).collect(),
-            leaf_of_shard,
-        )
     }
 
     /// The stall policy waits use.
@@ -301,7 +221,10 @@ impl<S: SyncOps> HierBarrier<S> {
     /// The leader protocol over shards.
     #[must_use]
     pub fn top_level(&self) -> TopLevel {
-        self.top_level
+        match self.top {
+            Top::Dissemination(_) => TopLevel::Dissemination,
+            Top::Tree(_) => TopLevel::Tree,
+        }
     }
 
     /// Participants still in the barrier (construction count minus
@@ -329,50 +252,8 @@ impl<S: SyncOps> HierBarrier<S> {
             // have been evicted meanwhile.
             let expected = shard.expected.load(Ordering::Acquire);
             shard.count.store(expected, Ordering::Release);
-            let goal = shard.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-            self.top_sign_in(k, goal);
-        }
-    }
-
-    /// Signs shard `k` in for episode `goal` at the top level.
-    fn top_sign_in(&self, k: usize, goal: u64) {
-        match &self.top {
-            Top::Tree {
-                nodes,
-                leaf_of_shard,
-            } => self.top_signal_node(nodes, leaf_of_shard[k]),
-            Top::Dissemination { flags, .. } => {
-                if self.rounds == 0 {
-                    // One shard: its completion is the global episode.
-                    if self.episode.fetch_max(goal, Ordering::AcqRel) < goal {
-                        self.core.stats().record_episode();
-                    }
-                } else {
-                    // Round-0 signal to the distance-1 neighbour; relay
-                    // rounds are driven by the shard's waiters (see
-                    // `try_top_rounds`). fetch_max keeps the flag
-                    // monotone under racing drivers.
-                    let m = self.shards.len();
-                    flags[(k + 1) % m].fetch_max(goal, Ordering::AcqRel);
-                }
-            }
-        }
-    }
-
-    /// Propagates one sign-in up the combining tree; the root publishes
-    /// the completed episode.
-    fn top_signal_node(&self, nodes: &[CachePadded<TopNode<S>>], index: usize) {
-        let node = &nodes[index];
-        if node.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            node.count
-                .store(node.expected.load(Ordering::Acquire), Ordering::Release);
-            match node.parent {
-                Some(parent) => self.top_signal_node(nodes, parent),
-                None => {
-                    self.episode.fetch_add(1, Ordering::Release);
-                    self.core.stats().record_episode();
-                }
-            }
+            let episode = shard.arrived.fetch_add(1, Ordering::AcqRel);
+            self.top.protocol().arrive_at(k, episode);
         }
     }
 
@@ -380,155 +261,56 @@ impl<S: SyncOps> HierBarrier<S> {
     /// shard `k`'s point of view? The shard epoch word is the fast path;
     /// the first waiter to observe top-level completion broadcasts it
     /// there so the rest of the shard stops touching global state.
+    ///
+    /// The `arrived >= goal` gate is the fuzzy guard: the top may only be
+    /// asked about — and so may only drive — a shard that has fully
+    /// arrived. Incoming top-level signals prove only that the *other*
+    /// shards arrived; relaying them for a shard with stragglers would
+    /// release its waiters early.
     fn episode_done(&self, k: usize, goal: u64) -> bool {
         let shard = &self.shards[k];
         if shard.epoch.load(Ordering::Acquire) >= goal {
             return true;
         }
-        let done = match &self.top {
-            Top::Tree { .. } => self.episode.load(Ordering::Acquire) >= goal,
-            Top::Dissemination { flags, progress } => self.try_top_rounds(flags, progress, k, goal),
-        };
-        if done {
-            shard.epoch.fetch_max(goal, Ordering::AcqRel);
-        }
-        done
-    }
-
-    /// Drives shard `j`'s leader rounds as far as the received signals
-    /// allow, up to `goal * rounds`, and returns the progress value
-    /// reached. Any waiter may drive any shard: every update is a
-    /// monotone `fetch_max`, so racing drivers are safe.
-    fn drive_shard(
-        &self,
-        flags: &[CachePadded<S::AtomicU64>],
-        progress: &[CachePadded<S::AtomicU64>],
-        j: usize,
-        goal: u64,
-    ) -> u64 {
-        let m = self.shards.len();
-        let rounds = u64::from(self.rounds);
-        loop {
-            let done = progress[j].load(Ordering::Acquire);
-            if done >= goal * rounds {
-                return done;
-            }
-            let g = done / rounds + 1;
-            let r = (done % rounds) as u32;
-            // A shard's leader rounds for episode `g` must not start
-            // until the shard itself has fully arrived for `g`: incoming
-            // flags alone prove the *other* shards arrived, and relaying
-            // them early could release this shard's waiters before its
-            // own stragglers arrive — a fuzzy violation.
-            if self.shards[j].arrived.load(Ordering::Acquire) < g {
-                return done;
-            }
-            if !self.top_flag_ready(flags, j, r, g) {
-                return done;
-            }
-            if r + 1 < self.rounds {
-                let to = (j + (1usize << (r + 1))) % m;
-                flags[(r as usize + 1) * m + to].fetch_max(g, Ordering::AcqRel);
-            }
-            progress[j].fetch_max(done + 1, Ordering::AcqRel);
-            if done + 1 == g * rounds {
-                // Last round: shard j has now heard (transitively) from
-                // every shard for `g`. Record the episode exactly once
-                // across shards.
-                if self.episode.fetch_max(g, Ordering::AcqRel) < g {
-                    self.core.stats().record_episode();
-                }
-            }
-        }
-    }
-
-    /// Returns true once shard `k` has completed all leader rounds for
-    /// `goal`. If `k` is stuck on a missing relay, the caller helps along:
-    /// it sweeps the *other* shards' pending rounds (whose own waiters may
-    /// simply not be polling right now) until either `k` completes or a
-    /// full sweep makes no progress anywhere — so a single probing waiter
-    /// can always discover a globally complete episode by itself.
-    fn try_top_rounds(
-        &self,
-        flags: &[CachePadded<S::AtomicU64>],
-        progress: &[CachePadded<S::AtomicU64>],
-        k: usize,
-        goal: u64,
-    ) -> bool {
-        if self.rounds == 0 {
-            return self.shards[k].arrived.load(Ordering::Acquire) >= goal;
-        }
-        let target = goal * u64::from(self.rounds);
-        loop {
-            if self.drive_shard(flags, progress, k, goal) >= target {
-                return true;
-            }
-            let mut advanced = false;
-            for j in (0..self.shards.len()).filter(|&j| j != k) {
-                let before = progress[j].load(Ordering::Relaxed);
-                advanced |= self.drive_shard(flags, progress, j, goal) > before;
-            }
-            if !advanced {
-                return false;
-            }
-        }
-    }
-
-    /// Has shard `k` received (or been excused from) its round-`round`
-    /// signal for episode `goal`?
-    fn top_flag_ready(
-        &self,
-        flags: &[CachePadded<S::AtomicU64>],
-        k: usize,
-        round: u32,
-        goal: u64,
-    ) -> bool {
-        let m = self.shards.len();
-        if flags[round as usize * m + k].load(Ordering::Acquire) >= goal {
-            return true;
-        }
-        let source = (k + m - (1usize << round)) % m;
-        self.top_ghost_sent(flags, source, round, goal)
-    }
-
-    /// Would dead shard `s` (no live members left) have sent its
-    /// round-`round` signal for `goal`? Always false for live shards. A
-    /// dead shard's sign-in is vacuous, so only its *incoming* earlier
-    /// rounds gate the answer; the recursion strictly decreases the round
-    /// and terminates.
-    fn top_ghost_sent(
-        &self,
-        flags: &[CachePadded<S::AtomicU64>],
-        s: usize,
-        round: u32,
-        goal: u64,
-    ) -> bool {
-        if self.shards[s].expected.load(Ordering::Acquire) != 0 {
+        if shard.arrived.load(Ordering::Acquire) < goal || !self.top_released(k, goal) {
             return false;
         }
-        (0..round).all(|r| self.top_flag_ready(flags, s, r, goal))
+        // An episode completed by an eviction may have had no waiter, so
+        // count every goal this observation newly covers.
+        for _ in self.episode.fetch_max(goal, Ordering::AcqRel)..goal {
+            self.core.stats().record_episode();
+        }
+        shard.epoch.fetch_max(goal, Ordering::AcqRel);
+        true
     }
 
-    /// Shrinks the top tree when shard `k` dies: walk up from its leaf,
-    /// removing the shard's contribution; the first node with other live
-    /// contributors gets one stand-in signal for the in-flight episode.
-    fn top_retire_shard(&self, nodes: &[CachePadded<TopNode<S>>], leaf: usize) {
-        let mut index = leaf;
-        loop {
-            let node = &nodes[index];
-            let prev = node.expected.fetch_sub(1, Ordering::AcqRel);
-            if prev > 1 {
-                self.top_signal_node(nodes, index);
-                return;
+    /// Top-level completion of `goal` for the signed-in shard `k`. A
+    /// dissemination top stuck on a relay helps along: it drives every
+    /// other signed-in shard's rounds (whose own waiters may simply not be
+    /// polling right now), one sweep per round at most, so a single
+    /// probing waiter can discover a globally complete episode by itself.
+    /// A live shard that has not signed in ends the probe early: `goal`
+    /// cannot be complete without it.
+    fn top_released(&self, k: usize, goal: u64) -> bool {
+        if self.top.protocol().released(k, goal - 1) {
+            return true;
+        }
+        let Top::Dissemination(top) = &self.top else {
+            return false;
+        };
+        for _ in 0..top.rounds() {
+            for j in (0..self.shards.len()).filter(|&j| j != k) {
+                if self.shards[j].arrived.load(Ordering::Acquire) >= goal {
+                    top.released(j, goal - 1);
+                } else if !top.core().is_departed(j) {
+                    return false;
+                }
             }
-            match node.parent {
-                Some(parent) => index = parent,
-                // The EmptyGroup guard keeps at least one participant —
-                // and therefore one live shard whose path joins ours at
-                // or below the root — so the walk always stops early.
-                None => unreachable!("retiring the last live shard"),
+            if top.released(k, goal - 1) {
+                return true;
             }
         }
+        false
     }
 }
 
@@ -544,8 +326,8 @@ impl<S: SyncOps> ArrivalProtocol for HierBarrier<S> {
     }
 
     fn released(&self, id: usize, episode: u64) -> bool {
-        // Like the dissemination backend, this may drive the caller's
-        // shard through its pending leader rounds.
+        // Like the dissemination backend, this may drive shards through
+        // their pending top-level rounds.
         self.episode_done(self.shard_of(id), episode + 1)
     }
 
@@ -556,19 +338,16 @@ impl<S: SyncOps> ArrivalProtocol for HierBarrier<S> {
         // as the flat backends).
         let prev = self.shards[k].expected.fetch_sub(1, Ordering::AcqRel);
         if prev == 1 {
-            // Last live member: the shard dies. Its pending top-level
-            // sign-in is covered structurally — the dissemination top's
-            // ghost closure reads `expected == 0`, the tree top shrinks
-            // the dead shard out of the combining tree with one stand-in
-            // signal for the in-flight episode. (A shard with waiters
-            // always has `expected >= 1`: waiters are live members.)
-            if let Top::Tree {
-                nodes,
-                leaf_of_shard,
-            } = &self.top
-            {
-                self.top_retire_shard(nodes, leaf_of_shard[k]);
-            }
+            // Last live member: the shard dies and leaves the top level
+            // the way an evicted participant leaves a flat barrier. (The
+            // core keeps a live participant, hence a live shard, so the
+            // top is never emptied; a shard with waiters has live
+            // members, so it never dies under them.)
+            let top = self.top.protocol();
+            top.core()
+                .depart(k)
+                .expect("another shard has a live member");
+            top.stand_in(k);
         } else {
             self.shard_arrival(k);
         }

@@ -52,8 +52,8 @@
 //! * [`DisseminationBarrier`] — O(log n) rounds, no single hot word,
 //! * [`TreeBarrier`] — combining tree with configurable fan-in,
 //! * [`HierBarrier`] — topology-aware hierarchy: cache-line-sharded
-//!   arrival words, a configurable leader protocol over shards
-//!   (dissemination or tree), per-shard release broadcast, and an
+//!   arrival words, a [`DisseminationBarrier`] or [`TreeBarrier`] over the
+//!   shards as the leader protocol, per-shard release broadcast, and an
 //!   adaptive stall policy by default.
 //!
 //! The backends differ only in how they combine arrivals. Each implements
