@@ -11,11 +11,12 @@
 //! small self-timing loop (`bench`) reports median-of-batches ns/iter.
 
 use fuzzy_barrier::{
-    CentralBarrier, CountingBarrier, DisseminationBarrier, HierBarrier, ProcMask, SplitBarrier,
-    StallPolicy, TopLevel, TreeBarrier,
+    CentralBarrier, CountingBarrier, DisseminationBarrier, HierBarrier, ProcMask, ReconfigBarrier,
+    SplitBarrier, StallPolicy, TopLevel, TreeBarrier,
 };
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Times `f` over several batches and prints the median ns/iter.
@@ -63,7 +64,8 @@ fn backends(n: usize) -> Vec<(&'static str, Box<dyn SplitBarrier>)> {
 }
 
 /// Cost of one arrive+wait episode per backend (single participant: the
-/// uncontended fast path every design should make cheap).
+/// uncontended fast path every design should make cheap), then the same
+/// episode through `ReconfigBarrier` over the centralized backend.
 fn bench_backends() {
     for (name, b) in &backends(1) {
         bench(&format!("episode_uncontended/{name}"), || {
@@ -71,6 +73,13 @@ fn bench_backends() {
             black_box(b.wait(t));
         });
     }
+    let (b, handles) = ReconfigBarrier::new(1, 1, |n| {
+        Arc::new(CentralBarrier::new(n)) as Arc<dyn SplitBarrier>
+    });
+    bench("episode_uncontended/reconfig", || {
+        let t = b.arrive(&handles[0]).expect("the only member is active");
+        black_box(b.wait(&t).expect("a lone member's epoch completes"));
+    });
 }
 
 /// Cost of one arrive+wait episode with two participants on two threads:

@@ -5,14 +5,17 @@
 //!                [--schema encore|fault_recovery|backend_faceoff|fuzz_campaign|async_scale|net_scale|chaos_churn]
 //! ```
 //!
-//! Parses the file with the in-tree JSON parser and validates key names
-//! and value types against the expected export shape. Exit codes:
+//! Parses the file with the in-tree JSON parser, validates key names and
+//! value types against the expected export shape, and checks the counting
+//! invariants of every backend telemetry section in it
+//! ([`telemetry_invariants`]). Exit codes:
 //! 0 = conforms, 1 = schema violations or unreadable/unparsable input,
 //! 2 = usage error.
 
 use fuzzy_bench::schema::{
     async_scale_shape, backend_faceoff_shape, chaos_churn_shape, encore_shape,
-    fault_recovery_shape, fuzz_campaign_shape, net_scale_shape, validate, Shape,
+    fault_recovery_shape, fuzz_campaign_shape, net_scale_shape, telemetry_invariants, validate,
+    Shape,
 };
 use fuzzy_util::Json;
 
@@ -81,7 +84,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let errors = validate(&doc, &shape);
+    let mut errors = validate(&doc, &shape);
+    errors.extend(telemetry_invariants(&doc));
     if errors.is_empty() {
         println!("validate_stats: {path} conforms to schema {schema_name:?}");
     } else {

@@ -108,6 +108,86 @@ fn walk(value: &Json, shape: &Shape, path: &str, errors: &mut Vec<String>) {
     }
 }
 
+/// Checks the counting invariants of every backend telemetry section in
+/// `value` (an object with `per_participant`, `stall_hist` and `spread`
+/// keys, as [`validate`] pins them), returning each violation as a
+/// `path: problem` line:
+///
+/// * per-participant `arrivals`, `waits` and `stalls` sum to the totals;
+/// * `stall_hist.total == stalls + timeouts` (a timed-out wait lands in
+///   the histogram too, without counting as a stall);
+/// * `spread.episodes <= episodes` (only completed episodes are measured).
+#[must_use]
+pub fn telemetry_invariants(value: &Json) -> Vec<String> {
+    let mut errors = Vec::new();
+    check_sections(value, "$", &mut errors);
+    errors
+}
+
+fn check_sections(value: &Json, path: &str, errors: &mut Vec<String>) {
+    match value {
+        Json::Obj(fields) => {
+            if let (Some(rows), Some(hist), Some(spread)) = (
+                value.get("per_participant").and_then(Json::as_arr),
+                value.get("stall_hist"),
+                value.get("spread"),
+            ) {
+                check_section(value, rows, hist, spread, path, errors);
+            }
+            for (key, child) in fields {
+                check_sections(child, &format!("{path}.{key}"), errors);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                check_sections(item, &format!("{path}[{i}]"), errors);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn check_section(
+    section: &Json,
+    rows: &[Json],
+    hist: &Json,
+    spread: &Json,
+    path: &str,
+    errors: &mut Vec<String>,
+) {
+    let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+    let total = |key: &str| num(section, key);
+    let mut expect = |what: String, got: f64, want: f64, holds: bool| {
+        if !holds {
+            errors.push(format!("{path}: {what}: {got} vs {want}"));
+        }
+    };
+    for key in ["arrivals", "waits", "stalls"] {
+        let sum: f64 = rows.iter().map(|row| num(row, key)).sum();
+        expect(
+            format!("per-participant {key} sum != {key}"),
+            sum,
+            total(key),
+            sum == total(key),
+        );
+    }
+    let hist_total = num(hist, "total");
+    let stalls = total("stalls") + total("timeouts");
+    expect(
+        "stall_hist.total != stalls + timeouts".into(),
+        hist_total,
+        stalls,
+        hist_total == stalls,
+    );
+    let measured = num(spread, "episodes");
+    expect(
+        "spread.episodes > episodes".into(),
+        measured,
+        total("episodes"),
+        measured <= total("episodes"),
+    );
+}
+
 /// One bucket row of a stall histogram export.
 fn hist_bucket() -> Shape {
     obj([
@@ -621,5 +701,53 @@ mod tests {
         .expect("BENCH_encore.json present in repo root");
         let doc = Json::parse(&text).expect("reference export parses");
         assert_eq!(validate(&doc, &encore_shape()), Vec::<String>::new());
+    }
+
+    fn telemetry_section(per_arrivals: [u64; 2], hist_total: u64, spread: u64) -> Json {
+        let row = |arrivals: u64| {
+            Json::obj()
+                .field("arrivals", arrivals)
+                .field("waits", 5u64)
+                .field("stalls", 1u64)
+        };
+        Json::obj()
+            .field("episodes", 5u64)
+            .field("arrivals", 10u64)
+            .field("waits", 10u64)
+            .field("stalls", 2u64)
+            .field("timeouts", 1u64)
+            .field("stall_hist", Json::obj().field("total", hist_total))
+            .field("spread", Json::obj().field("episodes", spread))
+            .field(
+                "per_participant",
+                Json::Arr(per_arrivals.into_iter().map(row).collect()),
+            )
+    }
+
+    #[test]
+    fn telemetry_invariants_report_each_broken_count() {
+        let doc = Json::obj().field(
+            "backends",
+            Json::obj()
+                .field("ok", telemetry_section([5, 5], 3, 1))
+                .field("bad", telemetry_section([5, 4], 2, 6)),
+        );
+        let errors = telemetry_invariants(&doc);
+        assert_eq!(errors.len(), 3, "{errors:?}");
+        assert!(errors.iter().all(|e| e.starts_with("$.backends.bad:")));
+        assert!(errors[0].contains("per-participant arrivals"));
+        assert!(errors[1].contains("stall_hist.total"));
+        assert!(errors[2].contains("spread.episodes"));
+    }
+
+    #[test]
+    fn checked_in_encore_export_holds_the_telemetry_invariants() {
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_encore.json"
+        ))
+        .expect("BENCH_encore.json present in repo root");
+        let doc = Json::parse(&text).expect("reference export parses");
+        assert_eq!(telemetry_invariants(&doc), Vec::<String>::new());
     }
 }

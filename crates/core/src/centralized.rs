@@ -116,7 +116,7 @@ impl<S: SyncOps> CentralBarrier<S> {
             }
             Err(e) => panic!("CentralBarrier::leave({id}): {e}"),
         }
-        self.core.stats().record_arrival(id);
+        self.core.begin_arrival(id);
         self.count_down();
     }
 
@@ -132,8 +132,8 @@ impl<S: SyncOps> CentralBarrier<S> {
             // by the episode bump may immediately arrive again and must see
             // a full counter.
             self.count.store(self.core.remaining(), Ordering::Release);
-            self.episode.fetch_add(1, Ordering::Release);
-            self.core.stats().record_episode();
+            let episode = self.episode.fetch_add(1, Ordering::Release);
+            self.core.stats().record_episode(episode);
         }
     }
 }

@@ -118,7 +118,7 @@ impl<S: SyncOps> CountingBarrier<S> {
             if count(after) / n == count(before) / n {
                 return;
             }
-            self.core.stats().record_episode();
+            self.core.stats().record_episode(count(after) / n - 1);
             let ghosts = dead(after);
             if ghosts == 0 {
                 return;

@@ -209,7 +209,7 @@ impl<S: SyncOps> DisseminationBarrier<S> {
     /// first completes its rounds.
     fn record_completion(&self, goal: u64) {
         if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-            self.core.stats().record_episode();
+            self.core.stats().record_episode(goal - 1);
         }
     }
 }

@@ -29,18 +29,19 @@ use fuzzy_util::CachePadded;
 use std::sync::atomic::Ordering;
 
 /// The per-barrier state every backend shares: participant count, stall
-/// policy, per-participant episode counters, the poison word, permanent
-/// departure flags with a live count, and [`BarrierStats`].
+/// policy, the poison word, permanent departure flags with a live count,
+/// and [`BarrierStats`], whose per-participant arrival counts stamp the
+/// tokens.
 #[derive(Debug)]
 pub struct EpisodeCore<S: SyncOps = RealSync> {
     n: usize,
     policy: StallPolicy,
-    /// Per-participant count of arrivals performed, used to stamp tokens.
-    local_episode: Box<[CachePadded<S::AtomicU64>]>,
     /// Non-zero once the barrier is poisoned (see [`SplitBarrier::poison`]).
     poisoned: CachePadded<S::AtomicU32>,
     /// Per-participant departure flags (non-zero once evicted or left).
-    departed: Box<[CachePadded<S::AtomicU32>]>,
+    /// Unpadded: each is written once, at departure, so they never bounce
+    /// between cores, and a plain allocation is cheaper to build.
+    departed: Box<[S::AtomicU32]>,
     /// Participants not yet departed; guards against emptying the barrier.
     live: CachePadded<S::AtomicUsize>,
     stats: BarrierStats,
@@ -58,13 +59,8 @@ impl<S: SyncOps> EpisodeCore<S> {
         EpisodeCore {
             n,
             policy,
-            local_episode: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU64::new(0)))
-                .collect(),
             poisoned: CachePadded::new(S::AtomicU32::new(0)),
-            departed: (0..n)
-                .map(|_| CachePadded::new(S::AtomicU32::new(0)))
-                .collect(),
+            departed: (0..n).map(|_| S::AtomicU32::new(0)).collect(),
             live: CachePadded::new(S::AtomicUsize::new(n)),
             stats: BarrierStats::with_participants(n),
         }
@@ -135,17 +131,16 @@ impl<S: SyncOps> EpisodeCore<S> {
         Ok(())
     }
 
-    /// Stamps participant `id`'s arrival: returns its episode number.
+    /// Stamps participant `id`'s arrival: returns its episode number, the
+    /// count of its earlier arrivals.
     #[inline]
-    fn begin_arrival(&self, id: usize) -> u64 {
+    pub(crate) fn begin_arrival(&self, id: usize) -> u64 {
         assert!(
             id < self.n,
             "participant id {id} out of range for {} participants",
             self.n
         );
-        let episode = self.local_episode[id].fetch_add(1, Ordering::Relaxed);
-        self.stats.record_arrival(id);
-        episode
+        self.stats.next_arrival(id)
     }
 
     fn poison(&self) {
@@ -168,8 +163,8 @@ impl<S: SyncOps> EpisodeCore<S> {
         released: impl FnMut() -> bool,
     ) -> Result<WaitOutcome, BarrierError> {
         // Adaptive policies become a concrete budget sized by this
-        // barrier's wait-cost history; everything else passes through.
-        let policy = self.stats.resolve_policy(policy);
+        // participant's wait-cost history; everything else passes through.
+        let policy = self.stats.resolve_policy(token.id, policy);
         let result = failure::guarded_wait::<S>(policy, deadline, token.episode, released, || {
             self.is_poisoned()
         });

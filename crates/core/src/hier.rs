@@ -277,8 +277,8 @@ impl<S: SyncOps> HierBarrier<S> {
         }
         // An episode completed by an eviction may have had no waiter, so
         // count every goal this observation newly covers.
-        for _ in self.episode.fetch_max(goal, Ordering::AcqRel)..goal {
-            self.core.stats().record_episode();
+        for episode in self.episode.fetch_max(goal, Ordering::AcqRel)..goal {
+            self.core.stats().record_episode(episode);
         }
         shard.epoch.fetch_max(goal, Ordering::AcqRel);
         true

@@ -467,7 +467,7 @@ impl<S: SyncOps> ReconfigBarrier<S> {
         let inner_token = inner.arrive(rank);
         let inner_episode = inner_token.episode();
         drop(inner_token);
-        self.stats.record_arrival(handle.slot);
+        self.stats.record_arrival(handle.slot, epoch);
         Ok(ReconfigToken {
             slot: handle.slot,
             epoch,
@@ -590,7 +590,7 @@ impl<S: SyncOps> ReconfigBarrier<S> {
                 ins.members = active.len();
                 ins.inner = (self.factory)(active.len());
             }
-            self.stats.record_episode();
+            self.stats.record_episode(e);
         }
         // Publish outside the gate; an RMW so shadow waiters re-wake.
         self.epoch.fetch_add(1, Ordering::AcqRel);

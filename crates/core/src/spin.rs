@@ -37,11 +37,12 @@ pub enum StallPolicy {
     /// recent waits have been short (the budget grows to cover them),
     /// escalate to yielding almost immediately when they have been long
     /// (spinning through a wait that dwarfs a context switch buys
-    /// nothing — the Sec. 8 trade-off, decided per barrier at runtime).
+    /// nothing — the Sec. 8 trade-off, decided per participant at runtime).
     ///
-    /// The history lives in an [`AdaptiveSpin`] accumulator owned by the
-    /// barrier's statistics block; backends resolve this variant to a
-    /// concrete `SpinYield` budget before each wait. Passed directly to
+    /// The history lives in an [`AdaptiveSpin`] accumulator per
+    /// participant, in the barrier's statistics block; backends resolve
+    /// this variant to a concrete `SpinYield` budget from the waiting
+    /// participant's own history before each wait. Passed directly to
     /// [`wait_until_budget`] (no accumulator in sight) it degrades to
     /// `SpinYield { spin_limit: max_spin }`.
     Adaptive {
@@ -73,7 +74,8 @@ impl StallPolicy {
     }
 
     /// An adaptive policy with a reasonable budget range: between 32 and
-    /// 4096 spin probes, sized per wait by the barrier's recent history.
+    /// 4096 spin probes, sized per wait by the waiting participant's
+    /// recent history.
     #[must_use]
     pub fn adaptive() -> Self {
         StallPolicy::Adaptive {
@@ -253,12 +255,13 @@ pub fn wait_until_budget(
 /// statistics layer after every completed wait and consulted by backends
 /// to size the *next* wait's spin budget.
 ///
-/// The counters are plain process-wide atomics updated with racy
-/// read-modify-write sequences: concurrent observers may each fold their
-/// sample against the same previous value and one update may be lost. That
-/// is deliberate — this is a sizing heuristic, not synchronization, and it
-/// sits outside the `SyncOps` model so the shadow-sync model checker never
-/// schedules against it.
+/// Each participant of a barrier owns one accumulator and is its only
+/// writer, so [`Self::observe`] is plain Relaxed loads and stores: no RMW,
+/// and no update is lost. Concurrent observers of one accumulator (the
+/// shared overflow slot for ids outside a barrier's participant range) may
+/// lose updates — acceptable for a sizing heuristic. It sits outside the
+/// `SyncOps` model so the shadow-sync model checker never schedules
+/// against it.
 #[derive(Debug, Default)]
 pub struct AdaptiveSpin {
     /// EWMA of per-wait predicate probes (weight 1/2^[`Self::EWMA_SHIFT`]),
@@ -297,7 +300,9 @@ impl AdaptiveSpin {
     /// history. The first observation seeds the EWMAs directly so the
     /// policy does not spend its warm-up decaying from zero.
     pub fn observe(&self, probes: u64, stall_nanos: u64) {
-        if self.observations.fetch_add(1, Ordering::Relaxed) == 0 {
+        let seen = self.observations.load(Ordering::Relaxed);
+        self.observations.store(seen + 1, Ordering::Relaxed);
+        if seen == 0 {
             self.ewma_probes
                 .store(probes << Self::EWMA_SHIFT, Ordering::Relaxed);
             self.ewma_stall_nanos

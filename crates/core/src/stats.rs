@@ -14,25 +14,33 @@
 //!   nanoseconds satisfies `2^i <= ns < 2^(i+1)` (bucket 0 also absorbs
 //!   zero), so the whole `u64` range is covered by 64 buckets;
 //! * **arrival spread** — the time between the first and last `arrive`
-//!   of each episode, the direct measure of how much drift the fuzzy
-//!   barrier region absorbed;
+//!   of an episode, the direct measure of how much drift the fuzzy
+//!   barrier region absorbed, sampled on one episode in
+//!   [`SPREAD_SAMPLE_PERIOD`];
 //! * **per-participant** stall/probe counters, which expose asymmetric
 //!   load (one slow stream stalls everyone else, Sec. 8).
 //!
-//! Everything is updated with relaxed atomic adds on paths that already
-//! performed at least one synchronizing atomic; nothing on the hot path
-//! allocates (all storage is sized at construction).
+//! Telemetry must not put back the shared hot spot the barrier protocols
+//! exist to remove (Sec. 1). Each participant therefore owns a padded slot
+//! that only it writes, with plain loads and stores; snapshots sum the
+//! slots. An episode that does not stall makes one shared write for
+//! telemetry — the completer's episode count — and reads the clock only
+//! when it is sampled. The stall path and the fault paths update shared
+//! counters. Nothing allocates after construction.
 
 use crate::spin::{AdaptiveSpin, StallPolicy};
 use crate::token::WaitOutcome;
-use std::sync::atomic::{AtomicU64, Ordering};
+use fuzzy_util::CachePadded;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: one per power of two of a `u64` value.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Sentinel meaning "no arrival recorded yet for this episode".
-const SPREAD_ARMED: u64 = u64::MAX;
+/// Episode `e` has its arrival spread measured when
+/// `e % SPREAD_SAMPLE_PERIOD == 0`; only those episodes' arrivals read the
+/// clock.
+pub const SPREAD_SAMPLE_PERIOD: u64 = 64;
 
 /// A lock-free fixed-bucket histogram over power-of-two ranges.
 ///
@@ -164,62 +172,107 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-episode arrival-spread accumulator: the gap between the first and
-/// last arrival of each episode.
+/// Arrival-spread accumulator over the sampled episodes, written by each
+/// sampled episode's completer.
 #[derive(Debug, Default)]
 struct SpreadTracker {
-    /// Earliest arrival timestamp (ns since the stats anchor) of the
-    /// episode in flight; `SPREAD_ARMED` when none recorded yet.
-    first: AtomicU64,
-    /// Latest arrival timestamp of the episode in flight.
-    last: AtomicU64,
-    /// Sum of spreads over completed episodes.
+    /// Sum of spreads over measured episodes.
     total_nanos: AtomicU64,
     /// Largest spread seen.
     max_nanos: AtomicU64,
-    /// Spread of the most recently completed episode.
+    /// Spread of the most recently measured episode.
     last_nanos: AtomicU64,
     /// Episodes with a measured spread.
     episodes: AtomicU64,
 }
 
-/// Per-participant relaxed counters (indexed by participant id).
+/// One participant's counters, adaptive history and last sampled arrival
+/// stamp. A participant's slot has a single writer — that participant — so
+/// each update is a Relaxed load and store. The overflow slot, shared by
+/// ids outside the participant range, adds with RMWs and keeps no stamp.
+///
+/// Slots are padded, not over-aligned: the trailing gap keeps the fields of
+/// neighbouring slots in an array at least a 64-byte cache line apart at
+/// any address, and a plain allocation is cheaper to build than a
+/// 128-aligned one (which `CachePadded` elements need). `repr(C)` keeps
+/// the gap last.
 #[derive(Debug, Default)]
-struct ParticipantCounters {
+#[repr(C)]
+struct Slot {
+    /// True for the overflow slot.
+    shared: bool,
+    /// Arrivals; for a barrier built on [`crate::EpisodeCore`] this is
+    /// also the participant's next episode number.
     arrivals: AtomicU64,
     waits: AtomicU64,
     stalls: AtomicU64,
     stall_nanos: AtomicU64,
     probes: AtomicU64,
+    /// Wait-cost EWMAs feeding [`StallPolicy::Adaptive`] budget sizing.
+    adaptive: AdaptiveSpin,
+    /// `episode + 1` of the last sampled arrival; 0 when none, and while
+    /// the stamp is rewritten.
+    stamp_key: AtomicU64,
+    /// That arrival's time, in ns since the stats anchor.
+    stamp_nanos: AtomicU64,
+    _gap: [u64; 8],
 }
 
-/// Atomic counters updated by barrier operations.
+impl Slot {
+    fn add(&self, cell: &AtomicU64, value: u64) {
+        if self.shared {
+            cell.fetch_add(value, Ordering::Relaxed);
+        } else {
+            let sum = cell.load(Ordering::Relaxed).wrapping_add(value);
+            cell.store(sum, Ordering::Relaxed);
+        }
+    }
+
+    /// Stores the stamp `(key, nanos)`. The key is cleared first, so a
+    /// reader that finds `key` on both sides of its read of the time (see
+    /// [`Self::stamp_of`]) read this write's time.
+    fn stamp(&self, key: u64, nanos: u64) {
+        self.stamp_key.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.stamp_nanos.store(nanos, Ordering::Relaxed);
+        self.stamp_key.store(key, Ordering::Release);
+    }
+
+    /// The stamped time if the stamp is keyed `key`. If the owner is
+    /// rewriting the stamp meanwhile, the re-read of the key fails: the
+    /// acquire fence pairs with the writer's release fence.
+    fn stamp_of(&self, key: u64) -> Option<u64> {
+        if self.stamp_key.load(Ordering::Acquire) != key {
+            return None;
+        }
+        let nanos = self.stamp_nanos.load(Ordering::Relaxed);
+        fence(Ordering::Acquire);
+        (self.stamp_key.load(Ordering::Relaxed) == key).then_some(nanos)
+    }
+}
+
+/// Telemetry recorder for one barrier.
 ///
-/// Cheap enough to leave enabled: every field is a relaxed atomic add on a
-/// path that already performed at least one synchronizing atomic. Construct
-/// with [`BarrierStats::with_participants`] to additionally get
-/// per-participant counters; the plain [`BarrierStats::new`] keeps only the
-/// aggregate view.
+/// Construct with [`BarrierStats::with_participants`] to get one padded
+/// slot per participant `0..n`; each participant's own arrivals and waits
+/// touch only its slot. The plain [`BarrierStats::new`] keeps only the
+/// aggregate view: every id lands in a shared overflow slot.
 #[derive(Debug)]
 pub struct BarrierStats {
-    episodes: AtomicU64,
-    arrivals: AtomicU64,
-    waits: AtomicU64,
-    stalls: AtomicU64,
+    /// One slot per participant, written only by that participant.
+    slots: Box<[Slot]>,
+    /// Ids outside `0..n`.
+    overflow: CachePadded<Slot>,
+    /// The one shared RMW of an episode: its completer's count.
+    episodes: CachePadded<AtomicU64>,
+    spread: SpreadTracker,
     deschedules: AtomicU64,
-    stall_nanos: AtomicU64,
-    probes: AtomicU64,
     timeouts: AtomicU64,
     evictions: AtomicU64,
     poisonings: AtomicU64,
     stall_hist: StallHistogram,
-    spread: SpreadTracker,
-    /// Wait-cost EWMAs feeding [`StallPolicy::Adaptive`] budget sizing.
-    adaptive: AdaptiveSpin,
-    /// Monotonic time origin for arrival timestamps.
+    /// Monotonic time origin for arrival stamps.
     anchor: Instant,
-    /// Per-participant counters; empty when participant-blind.
-    per_participant: Box<[ParticipantCounters]>,
 }
 
 impl Default for BarrierStats {
@@ -235,99 +288,103 @@ impl BarrierStats {
         Self::default()
     }
 
-    /// Creates a statistics block that also keeps per-participant counters
-    /// for participants `0..n`. All storage is allocated here; recording
-    /// never allocates.
+    /// Creates a statistics block with one slot per participant `0..n`.
+    /// All storage is allocated here; recording never allocates.
     #[must_use]
     pub fn with_participants(n: usize) -> Self {
-        let spread = SpreadTracker::default();
-        spread.first.store(SPREAD_ARMED, Ordering::Relaxed);
         BarrierStats {
-            episodes: AtomicU64::new(0),
-            arrivals: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
+            slots: (0..n).map(|_| Slot::default()).collect(),
+            overflow: CachePadded::new(Slot {
+                shared: true,
+                ..Slot::default()
+            }),
+            episodes: CachePadded::new(AtomicU64::new(0)),
+            spread: SpreadTracker::default(),
             deschedules: AtomicU64::new(0),
-            stall_nanos: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             poisonings: AtomicU64::new(0),
             stall_hist: StallHistogram::new(),
-            spread,
-            adaptive: AdaptiveSpin::new(),
             anchor: Instant::now(),
-            per_participant: (0..n).map(|_| ParticipantCounters::default()).collect(),
         }
+    }
+
+    fn slot(&self, id: usize) -> &Slot {
+        self.slots.get(id).map_or(&self.overflow, |slot| slot)
+    }
+
+    fn all_slots(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().chain(std::iter::once(&*self.overflow))
     }
 
     fn now_nanos(&self) -> u64 {
         u64::try_from(self.anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one arrival by participant `id` (aggregate, per-participant
-    /// and arrival-spread bookkeeping).
+    /// Records participant `id`'s arrival for `episode`. On a sampled
+    /// episode it also stamps the arrival time into `id`'s slot.
     ///
     /// Public so that [`crate::SplitBarrier`] implementations outside this
-    /// crate (the `fuzzy-net` message-passing backend, checker mutants) can
-    /// feed the same telemetry schema as the in-process backends.
-    pub fn record_arrival(&self, id: usize) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.per_participant.get(id) {
-            p.arrivals.fetch_add(1, Ordering::Relaxed);
+    /// crate (the `fuzzy-net` message-passing backend) can feed the same
+    /// telemetry schema as the in-process backends.
+    #[inline]
+    pub fn record_arrival(&self, id: usize, episode: u64) {
+        let slot = self.slot(id);
+        slot.add(&slot.arrivals, 1);
+        if episode.is_multiple_of(SPREAD_SAMPLE_PERIOD) && !slot.shared {
+            slot.stamp(episode.wrapping_add(1), self.now_nanos());
         }
-        // Arrival-spread bookkeeping. `first` uses fetch_min against the
-        // SPREAD_ARMED sentinel so the earliest arrival of the episode wins;
-        // `last` uses fetch_max. When episodes overlap (a fast participant
-        // arrives for episode e+1 before e's completion is recorded) the
-        // spread attributed to e may include the head of e+1 — an accepted
-        // approximation; telemetry is statistics, not synchronization.
-        let now = self.now_nanos().min(SPREAD_ARMED - 1);
-        self.spread.first.fetch_min(now, Ordering::Relaxed);
-        self.spread.last.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Records one completed episode and folds the episode's arrival
-    /// spread. Call exactly once per episode, from whichever participant
-    /// observes completion first.
-    pub fn record_episode(&self) {
+    /// Records participant `id`'s arrival and returns its episode number:
+    /// the arrivals it made before this one. `id` must be a participant.
+    #[inline]
+    pub(crate) fn next_arrival(&self, id: usize) -> u64 {
+        let episode = self.slots[id].arrivals.load(Ordering::Relaxed);
+        self.record_arrival(id, episode);
+        episode
+    }
+
+    /// Records the completion of `episode`. Call exactly once per episode,
+    /// from whichever participant observes completion first. On a sampled
+    /// episode this folds its arrival spread: max − min over the stamps
+    /// keyed to `episode`, so arrivals for later episodes never count.
+    pub fn record_episode(&self, episode: u64) {
         self.episodes.fetch_add(1, Ordering::Relaxed);
-        let first = self.spread.first.swap(SPREAD_ARMED, Ordering::Relaxed);
-        let last = self.spread.last.swap(0, Ordering::Relaxed);
-        if first != SPREAD_ARMED && last >= first {
-            let spread = last - first;
-            self.spread.total_nanos.fetch_add(spread, Ordering::Relaxed);
-            self.spread.max_nanos.fetch_max(spread, Ordering::Relaxed);
-            self.spread.last_nanos.store(spread, Ordering::Relaxed);
-            self.spread.episodes.fetch_add(1, Ordering::Relaxed);
+        if !episode.is_multiple_of(SPREAD_SAMPLE_PERIOD) {
+            return;
         }
+        let key = episode.wrapping_add(1);
+        let (mut first, mut last) = (u64::MAX, 0);
+        for t in self.slots.iter().filter_map(|slot| slot.stamp_of(key)) {
+            first = first.min(t);
+            last = last.max(t);
+        }
+        if first > last {
+            return; // no arrival of `episode` was stamped
+        }
+        let spread = last - first;
+        self.spread.total_nanos.fetch_add(spread, Ordering::Relaxed);
+        self.spread.max_nanos.fetch_max(spread, Ordering::Relaxed);
+        self.spread.last_nanos.store(spread, Ordering::Relaxed);
+        self.spread.episodes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one completed wait by participant `id`: stall/deschedule
-    /// counters, the stall histogram and the adaptive budget history.
+    /// Records one completed wait by participant `id`: its counters and
+    /// adaptive history, and on a stall the shared histogram.
+    #[inline]
     pub fn record_wait(&self, id: usize, outcome: &WaitOutcome) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        let p = self.per_participant.get(id);
-        if let Some(p) = p {
-            p.waits.fetch_add(1, Ordering::Relaxed);
-        }
+        let slot = self.slot(id);
+        slot.add(&slot.waits, 1);
+        let nanos = u64::try_from(outcome.stall_time.as_nanos()).unwrap_or(u64::MAX);
         // Every completed wait — including the instant ones, which pull
         // the EWMAs toward zero — feeds the adaptive budget history.
-        self.adaptive.observe(
-            outcome.probes,
-            u64::try_from(outcome.stall_time.as_nanos()).unwrap_or(u64::MAX),
-        );
+        slot.adaptive.observe(outcome.probes, nanos);
         if outcome.stalled {
-            self.stalls.fetch_add(1, Ordering::Relaxed);
-            let nanos = u64::try_from(outcome.stall_time.as_nanos()).unwrap_or(u64::MAX);
-            self.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.probes.fetch_add(outcome.probes, Ordering::Relaxed);
+            slot.add(&slot.stalls, 1);
+            slot.add(&slot.stall_nanos, nanos);
+            slot.add(&slot.probes, outcome.probes);
             self.stall_hist.record(nanos);
-            if let Some(p) = p {
-                p.stalls.fetch_add(1, Ordering::Relaxed);
-                p.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-                p.probes.fetch_add(outcome.probes, Ordering::Relaxed);
-            }
         }
         if outcome.descheduled {
             self.deschedules.fetch_add(1, Ordering::Relaxed);
@@ -344,16 +401,13 @@ impl BarrierStats {
     pub fn record_timeout(&self, id: usize, report: &crate::spin::SpinReport) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
         let nanos = u64::try_from(report.waited.as_nanos()).unwrap_or(u64::MAX);
-        self.adaptive.observe(report.probes, nanos);
-        self.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.probes.fetch_add(report.probes, Ordering::Relaxed);
+        let slot = self.slot(id);
+        slot.adaptive.observe(report.probes, nanos);
+        slot.add(&slot.stall_nanos, nanos);
+        slot.add(&slot.probes, report.probes);
         self.stall_hist.record(nanos);
         if report.descheduled {
             self.deschedules.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(p) = self.per_participant.get(id) {
-            p.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-            p.probes.fetch_add(report.probes, Ordering::Relaxed);
         }
     }
 
@@ -368,34 +422,34 @@ impl BarrierStats {
         self.poisonings.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The adaptive wait-cost history, fed by every recorded wait and
-    /// timeout.
+    /// Resolves a stall policy for participant `id`'s next wait:
+    /// [`StallPolicy::Adaptive`] is sized from `id`'s own wait-cost EWMAs,
+    /// everything else passes through unchanged. Backends call this at the
+    /// top of their wait path.
     #[must_use]
-    pub fn adaptive(&self) -> &AdaptiveSpin {
-        &self.adaptive
+    pub fn resolve_policy(&self, id: usize, policy: StallPolicy) -> StallPolicy {
+        self.slot(id).adaptive.resolve(policy)
     }
 
-    /// Resolves a stall policy for the next wait: [`StallPolicy::Adaptive`]
-    /// is sized from this barrier's wait-cost EWMAs, everything else passes
-    /// through unchanged. Backends call this at the top of their wait path.
-    #[must_use]
-    pub fn resolve_policy(&self, policy: StallPolicy) -> StallPolicy {
-        self.adaptive.resolve(policy)
-    }
-
-    /// Takes a consistent-enough snapshot for reporting (fields are read
-    /// individually with relaxed ordering; exact cross-field consistency is
-    /// not needed for statistics).
+    /// Takes a consistent-enough snapshot for reporting: the participant
+    /// slots are summed, each field read individually with relaxed
+    /// ordering (exact cross-field consistency is not needed for
+    /// statistics).
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
+        let sum = |field: fn(&Slot) -> &AtomicU64| -> u64 {
+            self.all_slots()
+                .map(|slot| field(slot).load(Ordering::Relaxed))
+                .fold(0, u64::wrapping_add)
+        };
         StatsSnapshot {
             episodes: self.episodes.load(Ordering::Relaxed),
-            arrivals: self.arrivals.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
+            arrivals: sum(|s| &s.arrivals),
+            waits: sum(|s| &s.waits),
+            stalls: sum(|s| &s.stalls),
             deschedules: self.deschedules.load(Ordering::Relaxed),
-            stall_time: Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed)),
-            probes: self.probes.load(Ordering::Relaxed),
+            stall_time: Duration::from_nanos(sum(|s| &s.stall_nanos)),
+            probes: sum(|s| &s.probes),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             poisonings: self.poisonings.load(Ordering::Relaxed),
@@ -403,7 +457,8 @@ impl BarrierStats {
     }
 
     /// Takes the full telemetry snapshot: flat counters plus the stall
-    /// histogram, arrival spread and per-participant counters.
+    /// histogram, arrival spread, adaptive history and per-participant
+    /// counters.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -415,13 +470,9 @@ impl BarrierStats {
                 max: Duration::from_nanos(self.spread.max_nanos.load(Ordering::Relaxed)),
                 last: Duration::from_nanos(self.spread.last_nanos.load(Ordering::Relaxed)),
             },
-            adaptive: AdaptiveSnapshot {
-                observations: self.adaptive.observations(),
-                ewma_probes: self.adaptive.ewma_probes(),
-                ewma_stall: self.adaptive.ewma_stall(),
-            },
+            adaptive: AdaptiveSnapshot::pooled(self.all_slots().map(|slot| &slot.adaptive)),
             per_participant: self
-                .per_participant
+                .slots
                 .iter()
                 .map(|p| ParticipantSnapshot {
                     arrivals: p.arrivals.load(Ordering::Relaxed),
@@ -476,15 +527,25 @@ impl StatsSnapshot {
     /// overhead comparable to the paper's µs-per-barrier numbers.
     #[must_use]
     pub fn mean_stall_per_wait(&self) -> Duration {
-        if self.waits == 0 {
-            Duration::ZERO
-        } else {
-            self.stall_time / u32::try_from(self.waits.min(u64::from(u32::MAX))).unwrap_or(1)
-        }
+        per_count(self.stall_time, self.waits)
     }
 }
 
-/// Arrival-spread summary: per-episode gap between first and last arrival.
+/// `total / count`, truncated to whole nanoseconds and exact for any
+/// `u64` count (zero when `count` is zero).
+fn per_count(total: Duration, count: u64) -> Duration {
+    if count == 0 {
+        return Duration::ZERO;
+    }
+    let nanos = total.as_nanos() / u128::from(count);
+    Duration::new(
+        u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX),
+        (nanos % 1_000_000_000) as u32,
+    )
+}
+
+/// Arrival-spread summary: per-episode gap between first and last arrival,
+/// over the sampled episodes (one in [`SPREAD_SAMPLE_PERIOD`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpreadSnapshot {
     /// Episodes with a measured spread.
@@ -501,11 +562,7 @@ impl SpreadSnapshot {
     /// Mean spread per measured episode.
     #[must_use]
     pub fn mean(&self) -> Duration {
-        if self.episodes == 0 {
-            Duration::ZERO
-        } else {
-            self.total / u32::try_from(self.episodes.min(u64::from(u32::MAX))).unwrap_or(1)
-        }
+        per_count(self.total, self.episodes)
     }
 }
 
@@ -525,7 +582,9 @@ pub struct ParticipantSnapshot {
 }
 
 /// A point-in-time copy of the adaptive wait-cost history backing
-/// [`StallPolicy::Adaptive`] budget sizing.
+/// [`StallPolicy::Adaptive`] budget sizing, pooled over the participants:
+/// each keeps its own history, and each EWMA here is their mean weighted
+/// by observations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveSnapshot {
     /// Waits folded into the EWMAs so far.
@@ -534,6 +593,26 @@ pub struct AdaptiveSnapshot {
     pub ewma_probes: u64,
     /// EWMA of per-wait stall time.
     pub ewma_stall: Duration,
+}
+
+impl AdaptiveSnapshot {
+    fn pooled<'a>(histories: impl Iterator<Item = &'a AdaptiveSpin>) -> Self {
+        let (mut observations, mut probes, mut stall) = (0u64, 0u128, 0u128);
+        for h in histories {
+            let n = h.observations();
+            observations = observations.wrapping_add(n);
+            probes += u128::from(n) * u128::from(h.ewma_probes());
+            stall += u128::from(n) * h.ewma_stall().as_nanos();
+        }
+        let mean = |weighted: u128| {
+            u64::try_from(weighted / u128::from(observations.max(1))).unwrap_or(u64::MAX)
+        };
+        AdaptiveSnapshot {
+            observations,
+            ewma_probes: mean(probes),
+            ewma_stall: Duration::from_nanos(mean(stall)),
+        }
+    }
 }
 
 /// Relaxed counters for the async (poll-based) barrier frontend.
@@ -815,7 +894,7 @@ mod tests {
     #[test]
     fn record_wait_accumulates() {
         let stats = BarrierStats::new();
-        stats.record_arrival(0);
+        stats.record_arrival(0, 0);
         stats.record_wait(
             0,
             &WaitOutcome {
@@ -931,22 +1010,97 @@ mod tests {
     #[test]
     fn spread_measures_first_to_last_arrival() {
         let stats = BarrierStats::with_participants(2);
-        stats.record_arrival(0);
+        stats.record_arrival(0, 0);
         std::thread::sleep(Duration::from_millis(2));
-        stats.record_arrival(1);
-        stats.record_episode();
+        stats.record_arrival(1, 0);
+        stats.record_episode(0);
         let t = stats.telemetry();
         assert_eq!(t.spread.episodes, 1);
         assert!(t.spread.last >= Duration::from_millis(2), "{:?}", t.spread);
         assert_eq!(t.spread.last, t.spread.max);
         assert_eq!(t.spread.last, t.spread.total);
-        // The next episode re-arms cleanly.
-        stats.record_arrival(0);
-        stats.record_arrival(1);
-        stats.record_episode();
+        // The next sampled episode re-arms cleanly.
+        stats.record_arrival(0, SPREAD_SAMPLE_PERIOD);
+        stats.record_arrival(1, SPREAD_SAMPLE_PERIOD);
+        stats.record_episode(SPREAD_SAMPLE_PERIOD);
         let t = stats.telemetry();
         assert_eq!(t.spread.episodes, 2);
         assert!(t.spread.last <= t.spread.max);
+    }
+
+    #[test]
+    fn means_stay_exact_past_two_to_the_32_samples() {
+        let waits = 1u64 << 33;
+        let per = Duration::from_micros(3);
+        let s = StatsSnapshot {
+            waits,
+            stall_time: per * 1024 * (1 << 23),
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(s.mean_stall_per_wait(), per);
+        let spread = SpreadSnapshot {
+            episodes: waits,
+            total: s.stall_time,
+            ..SpreadSnapshot::default()
+        };
+        assert_eq!(spread.mean(), per);
+    }
+
+    #[test]
+    fn overlapping_episode_does_not_pollute_the_spread() {
+        let stats = BarrierStats::with_participants(2);
+        stats.record_arrival(0, 0);
+        stats.record_arrival(1, 0);
+        std::thread::sleep(Duration::from_millis(2));
+        // Participant 0 runs ahead into episode 1 before episode 0's
+        // completion is recorded.
+        stats.record_arrival(0, 1);
+        stats.record_episode(0);
+        let t = stats.telemetry();
+        assert_eq!(t.spread.episodes, 1);
+        assert!(t.spread.last < Duration::from_millis(2), "{:?}", t.spread);
+    }
+
+    #[test]
+    fn only_sampled_episodes_measure_the_spread() {
+        let stats = BarrierStats::with_participants(1);
+        for episode in 0..3 * SPREAD_SAMPLE_PERIOD {
+            let e = stats.next_arrival(0);
+            assert_eq!(e, episode, "the arrival count is the episode");
+            stats.record_episode(e);
+        }
+        let t = stats.telemetry();
+        assert_eq!(t.base.episodes, 3 * SPREAD_SAMPLE_PERIOD);
+        assert_eq!(t.spread.episodes, 3);
+    }
+
+    #[test]
+    fn adaptive_snapshot_pools_the_participants() {
+        let stats = BarrierStats::with_participants(2);
+        let wait = |probes| WaitOutcome {
+            episode: 0,
+            stalled: true,
+            descheduled: false,
+            probes,
+            stall_time: Duration::from_nanos(probes * 10),
+        };
+        stats.record_wait(0, &wait(100));
+        for _ in 0..3 {
+            stats.record_wait(1, &wait(20));
+        }
+        let a = stats.telemetry().adaptive;
+        assert_eq!(a.observations, 4);
+        assert_eq!(a.ewma_probes, (100 + 3 * 20) / 4);
+        assert_eq!(a.ewma_stall, Duration::from_nanos((1000 + 3 * 200) / 4));
+        // Each participant's policy is sized from its own history.
+        assert_eq!(
+            stats.resolve_policy(0, StallPolicy::adaptive()),
+            StallPolicy::SpinYield { spin_limit: 200 }
+        );
+        assert_eq!(
+            stats.resolve_policy(1, StallPolicy::adaptive()),
+            StallPolicy::SpinYield { spin_limit: 40 }
+        );
     }
 
     #[test]
@@ -979,8 +1133,8 @@ mod tests {
     #[test]
     fn per_participant_counters_attribute_stalls() {
         let stats = BarrierStats::with_participants(2);
-        stats.record_arrival(0);
-        stats.record_arrival(1);
+        stats.record_arrival(0, 0);
+        stats.record_arrival(1, 0);
         stats.record_wait(
             1,
             &WaitOutcome {
@@ -1023,10 +1177,13 @@ mod tests {
         assert_eq!(t.adaptive.ewma_stall, Duration::from_nanos(400));
         // Short recorded waits produce a budget near twice the EWMA, so an
         // adaptive policy resolves to a concrete SpinYield in that range.
-        let resolved = stats.resolve_policy(StallPolicy::adaptive());
+        let resolved = stats.resolve_policy(0, StallPolicy::adaptive());
         assert_eq!(resolved, StallPolicy::SpinYield { spin_limit: 128 });
         // Non-adaptive policies are untouched.
-        assert_eq!(stats.resolve_policy(StallPolicy::Spin), StallPolicy::Spin);
+        assert_eq!(
+            stats.resolve_policy(0, StallPolicy::Spin),
+            StallPolicy::Spin
+        );
         // Timeouts count as (expensive) waits in the history too.
         stats.record_timeout(
             1,
@@ -1038,7 +1195,7 @@ mod tests {
             },
         );
         assert_eq!(stats.telemetry().adaptive.observations, 2);
-        assert!(stats.adaptive().ewma_stall() > Duration::from_nanos(400));
+        assert!(stats.telemetry().adaptive.ewma_stall > Duration::from_nanos(400));
     }
 
     #[test]

@@ -155,8 +155,8 @@ impl<S: SyncOps> TreeBarrier<S> {
             match node.parent {
                 Some(parent) => self.signal_node(parent),
                 None => {
-                    self.episode.fetch_add(1, Ordering::Release);
-                    self.core.stats().record_episode();
+                    let episode = self.episode.fetch_add(1, Ordering::Release);
+                    self.core.stats().record_episode(episode);
                 }
             }
         }

@@ -3,7 +3,8 @@
 //! the dissemination barrier survives a non-power-of-two episode stress.
 
 use fuzzy_barrier::{
-    CentralBarrier, CountingBarrier, DisseminationBarrier, SplitBarrier, StallPolicy, TreeBarrier,
+    CentralBarrier, CountingBarrier, DisseminationBarrier, HierBarrier, SplitBarrier, StallPolicy,
+    TopLevel, TreeBarrier,
 };
 use std::sync::Arc;
 
@@ -39,6 +40,24 @@ fn all_backends_report_identical_episode_and_arrival_counts() {
         ("counting", Box::new(CountingBarrier::new(n))),
         ("dissemination", Box::new(DisseminationBarrier::new(n))),
         ("tree", Box::new(TreeBarrier::new(n))),
+        (
+            "hier",
+            Box::new(HierBarrier::with_shards(
+                n,
+                2,
+                TopLevel::Dissemination,
+                StallPolicy::default(),
+            )),
+        ),
+        (
+            "hier-tree",
+            Box::new(HierBarrier::with_shards(
+                n,
+                2,
+                TopLevel::Tree,
+                StallPolicy::default(),
+            )),
+        ),
     ];
     for (name, b) in &backends {
         run_schedule(&**b, n, episodes);

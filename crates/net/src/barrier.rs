@@ -282,7 +282,7 @@ impl<S: SyncOps> NetBarrier<S> {
                 return;
             }
             if self.completed.fetch_max(goal, Ordering::AcqRel) < goal {
-                self.stats.record_episode();
+                self.stats.record_episode(goal - 1);
                 // The next episode's arrivals may already be in; keep
                 // pumping until nothing more is due.
                 continue;
@@ -461,7 +461,7 @@ impl<S: SyncOps> SplitBarrier for NetBarrier<S> {
             self.locals
         );
         let episode = self.member_episode[id].fetch_add(1, Ordering::AcqRel);
-        self.stats.record_arrival(id);
+        self.stats.record_arrival(id, episode);
         self.local_count.fetch_add(1, Ordering::AcqRel);
         self.drive();
         ArrivalToken::new(id, episode)

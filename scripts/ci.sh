@@ -16,7 +16,9 @@
 #   test         cargo test -q --workspace
 #   tier1        the repo's tier-1 gate, verbatim from ROADMAP.md
 #   check-smoke  fuzzy-check: 10k DFS schedules per backend at N=3
-#   bench-smoke  exp_encore --stats-json + schema validation
+#   bench-smoke  exp_encore --stats-json + schema validation and the
+#                telemetry counting invariants (per-participant sums,
+#                histogram total, spread episodes)
 #   async-smoke  exp_async_scale quick sweep + schema validation, then
 #                the lost-wakeup mutant must still be caught by the
 #                model checker
@@ -128,7 +130,8 @@ check_smoke() {
 }
 
 # Telemetry smoke: run the encore experiment with --stats-json and verify
-# the export parses and matches the pinned schema (key names and types).
+# the export parses, matches the pinned schema (key names and types) and
+# keeps the telemetry counting invariants in every backend section.
 bench_smoke() {
     out="$(mktemp)" || return 1
     status=1
